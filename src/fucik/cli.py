@@ -35,7 +35,8 @@ from .operator import (
     eigenpairs,
 )
 from .oracle import classical_curve
-from .semilinear import CONVERGED, RESONANCE, check_gll, problem_from_dict, solve
+from .semilinear import CONVERGED, problem_from_dict, solve
+from .semilinear import check_gll  # noqa: F401  kept importable as fucik.cli.check_gll
 from .spectrum import CurveBranch, trace_curve
 
 __all__ = ["RunConfig", "Series", "plot_svg", "run", "main"]
@@ -461,8 +462,8 @@ def _run_solve(cfg: RunConfig, prov: dict):
         raise ConfigError(f"problem file {cfg.problem!r} is not valid JSON: {e}")
     basis = _build_basis(cfg)
     problem = problem_from_dict(basis, doc, seed=cfg.seed)
-    gll = check_gll(problem) if problem.regime == RESONANCE else None
     result = solve(problem, seed=cfg.seed)
+    gll = result.gll
 
     out = {
         "provenance": prov,

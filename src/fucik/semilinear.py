@@ -41,6 +41,7 @@ from .errors import (
 from .operator import ConditionCheck, EigenBasis, Field, to_field
 from .spectrum import (
     FucikParams,
+    FucikPoint,
     _gradient_arrays,
     _maximize_t,
     beta_of_alpha,
@@ -62,34 +63,6 @@ RAY_GROWTH_FACTOR = 10.0
 RAY_CAUCHY_TOL = 1e-4
 RAY_CAUCHY_WINDOW = 10
 
-_F_PANEL_TOL = 1e-12
-
-
-def _adaptive_simpson(func, a, b, tol=_F_PANEL_TOL):
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-    if a == b:
-        return 0.0
-    fa, fb = func(a), func(b)
-    m = 0.5 * (a + b)
-    fm = func(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_refine(func, a, b, fa, fm, fb, whole, tol, 48)
-
-
-def _simpson_refine(func, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = func(lm), func(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_refine(func, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_refine(
-        func, m, b, fm, frm, fb, right, half, depth - 1
-    )
-
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
@@ -97,11 +70,9 @@ class Nonlinearity:
 
     bound is the certified sup of |f|; limit_left / limit_right are the
     asymptotic values of f at -inf / +inf (None when undeclared, in which
-    case the admissibility check is unavailable).  antiderivative, when
-    given, must be the exact primitive with F(0) = 0; otherwise F is
-    computed by adaptive Simpson from 0 over a fixed dyadic segment grid
-    with cached segment integrals, so values are independent of evaluation
-    order.
+    case the admissibility check is unavailable).  antiderivative is
+    required: the exact primitive F with F(0) = 0, in closed form (a table
+    carries the piecewise-quadratic primitive of its interpolant).
     """
 
     name: str
@@ -111,11 +82,14 @@ class Nonlinearity:
     limit_right: float | None = None
     antiderivative: object | None = None
     deriv: object | None = None
+    # no longer filled; kept so existing readers of the attribute still work
     _fcache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.bound < 0.0:
             raise ConfigError("bound must be a nonnegative sup of |f|")
+        if self.antiderivative is None:
+            raise ConfigError("antiderivative is required: the exact primitive F with F(0) = 0")
 
     # -- constructors -------------------------------------------------------
 
@@ -198,12 +172,33 @@ class Nonlinearity:
             raise ConfigError("declared limits must match the table edge values")
         if bound is None:
             bound = float(np.max(np.abs(vals)))
+
+        # exact primitive of the interpolant: quadratic on each segment on top
+        # of the cumulative trapezoid sums at the knots, linear on the tails
+        widths = np.diff(pts)
+        slopes = np.diff(vals) / widths
+        knot_sums = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * widths)])
+
+        def G(t):
+            t = np.asarray(t, dtype=float)
+            inner = np.clip(t, pts[0], pts[-1])
+            i = np.clip(np.searchsorted(pts, inner, side="right") - 1, 0, pts.size - 2)
+            d = inner - pts[i]
+            return (
+                knot_sums[i]
+                + d * (vals[i] + 0.5 * slopes[i] * d)
+                + vals[0] * np.minimum(t - pts[0], 0.0)
+                + vals[-1] * np.maximum(t - pts[-1], 0.0)
+            )
+
+        g0 = G(0.0)
         return cls(
             name="table",
             func=lambda t: np.interp(np.asarray(t, dtype=float), pts, vals),
             bound=float(bound),
             limit_left=limits[0],
             limit_right=limits[1],
+            antiderivative=lambda t: G(t) - g0,
         )
 
     # -- evaluation ---------------------------------------------------------
@@ -219,51 +214,18 @@ class Nonlinearity:
         step = 1e-6 * (1.0 + np.abs(t))
         return (self.evaluate(t + step) - self.evaluate(t - step)) / (2.0 * step)
 
-    def _scalar_f(self, t: float) -> float:
-        return float(self.func(np.asarray(t, dtype=float)))
-
-    def _primitive_scalar(self, t: float) -> float:
-        # integral from 0 to t over dyadic anchor segments 0, +-1, +-2, +-4 ...
-        # segment integrals and per-t partials are cached; the anchor grid is
-        # fixed so cached values never depend on evaluation order
-        if t in self._fcache:
-            return self._fcache[t]
-        sign = 1.0 if t >= 0.0 else -1.0
-        mag = abs(t)
-        base = 0.0
-        total = 0.0
-        if mag > 1.0:
-            level = int(math.floor(math.log2(mag)))
-            base = sign * float(2**level)
-            key = ("anchor", sign, level)
-            if key not in self._fcache:
-                acc = _adaptive_simpson(self._scalar_f, 0.0, sign * 1.0)
-                for j in range(level):
-                    acc += _adaptive_simpson(self._scalar_f, sign * float(2**j), sign * float(2 ** (j + 1)))
-                self._fcache[key] = acc
-            total = self._fcache[key]
-        value = total + _adaptive_simpson(self._scalar_f, base, t)
-        self._fcache[t] = value
-        return value
-
     def primitive(self, t):
-        """F(t) with F(0) = 0; closed form when declared, else quadrature."""
-        if self.antiderivative is not None:
-            return np.asarray(self.antiderivative(np.asarray(t, dtype=float)), dtype=float)
-        arr = np.asarray(t, dtype=float)
-        flat = arr.reshape(-1)
-        out = np.fromiter((self._primitive_scalar(float(x)) for x in flat), dtype=float, count=flat.size)
-        return out.reshape(arr.shape) if arr.shape else float(out[0])
+        """F(t) with F(0) = 0, from the declared antiderivative."""
+        return np.asarray(self.antiderivative(np.asarray(t, dtype=float)), dtype=float)
 
     # -- certification ------------------------------------------------------
 
     def validate(self, probe_count: int = 10000) -> "NonlinearityReport":
         """Certify boundedness, F(0) = 0, F' = f, and |F(t)| <= bound * |t|.
 
-        The f bound runs on the full probe grid over [-1e6, 1e6]; the
-        antiderivative checks run on the full grid for closed-form F and on
-        a geometric subsample when F is quadrature-backed (each evaluation
-        there costs an adaptive integral).
+        The f bound runs on the full probe grid over [-1e6, 1e6].  The
+        antiderivative checks run on the full grid, except for tables, which
+        keep geometric probe sets: the dense grid lands on table knots.
         """
         checks = []
 
@@ -286,15 +248,17 @@ class Nonlinearity:
             )
         )
 
-        closed = self.antiderivative is not None
-        if closed:
+        # a table's slope jumps at its knots, and the dense grid's multiples
+        # of 0.1 hit them; central differences across a steep knot miss 1e-6
+        table = self.name == "table"
+        if table:
+            t_fd = np.concatenate([-np.geomspace(1e-2, 64.0, 20), [0.0], np.geomspace(1e-2, 64.0, 20)])
+            fd_step = 1e-4 * (1.0 + np.abs(t_fd))
+        else:
             # step small enough that even a jump of F'' (kinked f, e.g. the
             # clipped ramp) keeps the central-difference error below 1e-6
             t_fd = np.linspace(-20.0, 20.0, 401)
             fd_step = 1e-6 * (1.0 + np.abs(t_fd))
-        else:
-            t_fd = np.concatenate([-np.geomspace(1e-2, 64.0, 20), [0.0], np.geomspace(1e-2, 64.0, 20)])
-            fd_step = 1e-4 * (1.0 + np.abs(t_fd))
         fd = (self.primitive(t_fd + fd_step) - self.primitive(t_fd - fd_step)) / (2.0 * fd_step)
         f_ref = self.evaluate(t_fd)
         fd_err = float(np.max(np.abs(fd - f_ref) / (1.0 + np.abs(f_ref))))
@@ -306,10 +270,10 @@ class Nonlinearity:
             )
         )
 
-        if closed:
-            t_gr = probes
-        else:
+        if table:
             t_gr = np.concatenate([-np.geomspace(1e-3, 1e6, 31), np.geomspace(1e-3, 1e6, 31)])
+        else:
+            t_gr = probes
         growth = np.abs(self.primitive(t_gr)) - self.bound * np.abs(t_gr)
         worst = float(np.max(growth))
         checks.append(
@@ -369,13 +333,15 @@ class SemilinearProblem:
         return 1e-10
 
 
-def classify(params: FucikParams, seed: int = 0):
+def classify(params: FucikParams, seed: int = 0, root: FucikPoint | None = None):
     """Regime of (alpha, beta) against the spectral curve.
 
     Returns (regime, curve_beta) where curve_beta is None when a shortcut
     settled the answer without computing the curve: beta <= lambda_{k+1}
     lies strictly below it except at the diagonal resonance corner
-    alpha = beta = lambda_{k+1}.
+    alpha = beta = lambda_{k+1}.  root, when given, is the beta_of_alpha
+    point already computed at this alpha, basis and seed, and is used
+    instead of computing it again.
     """
     lam_k1 = params.lambda_k1
     tol = params.tol_beta
@@ -383,13 +349,14 @@ def classify(params: FucikParams, seed: int = 0):
         return RESONANCE, lam_k1
     if params.beta <= lam_k1:
         return NONRESONANCE, None
-    try:
-        root = beta_of_alpha(params.alpha, params.basis, seed=seed)
-    except BracketExhausted as exc:
-        # no root below the cap and beta <= cap: strictly below the curve
-        if params.beta <= exc.beta_max:
-            return NONRESONANCE, None
-        return OUT_OF_SCOPE, None
+    if root is None:
+        try:
+            root = beta_of_alpha(params.alpha, params.basis, seed=seed)
+        except BracketExhausted as exc:
+            # no root below the cap and beta <= cap: strictly below the curve
+            if params.beta <= exc.beta_max:
+                return NONRESONANCE, None
+            return OUT_OF_SCOPE, None
     if abs(params.beta - root.beta) <= tol:
         return RESONANCE, root.beta
     if params.beta < root.beta:
@@ -415,12 +382,17 @@ def _eigenset_at(params: FucikParams, seed: int) -> tuple:
 
 
 def build_problem(
-    params: FucikParams, nonlinearity: Nonlinearity, h: Field, seed: int = 0
+    params: FucikParams,
+    nonlinearity: Nonlinearity,
+    h: Field,
+    seed: int = 0,
+    root: FucikPoint | None = None,
 ) -> SemilinearProblem:
     """Classify (alpha, beta) and assemble an immutable problem description.
 
     The nonlinearity is certified here (bound, F(0), F' = f, linear growth)
     so solvers can rely on it; out-of-scope parameter pairs are rejected.
+    root is handed to classify (a curve point already computed at alpha).
     """
     report = nonlinearity.validate(probe_count=2000)
     if not report.passed:
@@ -428,7 +400,7 @@ def build_problem(
         raise ConfigError(f"nonlinearity failed certification: {', '.join(failed)}")
     if h.basis is not params.basis:
         raise ConfigError("forcing field must live on the problem basis")
-    regime, curve_beta = classify(params, seed=seed)
+    regime, curve_beta = classify(params, seed=seed, root=root)
     if regime == OUT_OF_SCOPE:
         raise ConfigError(
             f"beta={params.beta} lies above the spectral curve (beta(alpha)={curve_beta}); "
@@ -603,7 +575,8 @@ class SaddleResult:
     status is one of CONVERGED (residual certified below tol_res and the
     weak form verified against random test fields), MAX_ITERATIONS (best
     iterate returned), or DIVERGING_RAY (iterates escaped along ray, the
-    numerical signature of a failed compactness condition).
+    numerical signature of a failed compactness condition).  gll is the
+    admissibility report the solve ran at resonance (None otherwise).
     """
 
     u_star: Field | None
@@ -614,6 +587,7 @@ class SaddleResult:
     trace: tuple
     ray: Field | None = None
     diagnostics: dict = field(default_factory=dict)
+    gll: GLLReport | None = None
 
 
 def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.ndarray, tol: float):
@@ -761,6 +735,7 @@ def solve(
         "ray_cauchy_window": RAY_CAUCHY_WINDOW,
     }
 
+    gll = None
     if problem.regime == RESONANCE:
         gll = check_gll(problem)
         diagnostics["gll_satisfied"] = gll.satisfied
@@ -822,6 +797,7 @@ def solve(
                 trace=tuple(trace),
                 ray=to_field(basis, coeffs=ray),
                 diagnostics=diagnostics,
+                gll=gll,
             )
         if gn <= 0.5 * tol_res:
             break
@@ -832,11 +808,14 @@ def solve(
             denom = float(dv @ dg)
             eta = min(max(float(dv @ dv) / denom, 1e-4), 1e4) if denom > 0 else 1.0
         step = eta
+        # the decrease must clear the rounding of val: once the Armijo term
+        # drops below it, equal values would pass and starve the BB step
+        slope, floor = float(g @ d), 1e-15 * (1.0 + abs(val))
         accepted = False
         for _ in range(30):
             v_new = v - step * d
             val_new, g_new, t_new, c_new, deff = reduced_eval(v_new, t_warm)
-            if val_new <= val - 1e-4 * step * float(g @ d) or float(np.linalg.norm(g_new)) <= 0.5 * gn:
+            if val_new < val - max(1e-4 * step * slope, floor) or float(np.linalg.norm(g_new)) <= 0.5 * gn:
                 accepted = True
                 break
             step *= 0.5
@@ -896,6 +875,7 @@ def solve(
             status=MAX_ITERATIONS,
             trace=tuple(trace),
             diagnostics=diagnostics,
+            gll=gll,
         )
 
     # weak-form verification against random test fields
@@ -915,6 +895,7 @@ def solve(
             status=MAX_ITERATIONS,
             trace=tuple(trace),
             diagnostics=diagnostics,
+            gll=gll,
         )
 
     return SaddleResult(
@@ -925,6 +906,7 @@ def solve(
         status=CONVERGED,
         trace=tuple(trace),
         diagnostics=diagnostics,
+        gll=gll,
     )
 
 
@@ -1007,10 +989,11 @@ def problem_from_dict(basis: EigenBasis, doc: dict, seed: int = 0) -> Semilinear
 
     h = _field_from_spec(basis, h_spec)
 
+    root = None
     if beta_spec == "on-curve":
         root = beta_of_alpha(alpha, basis, seed=seed)
         beta = root.beta
     else:
         beta = float(beta_spec)
     params = FucikParams(alpha=alpha, beta=beta, basis=basis)
-    return build_problem(params, nl, h, seed=seed)
+    return build_problem(params, nl, h, seed=seed, root=root)

@@ -3,6 +3,9 @@ the four run modes, and the byte-determinism of emitted artifacts."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +212,34 @@ def test_solve_mode_on_curve_resonance(tmp_path):
     assert doc["curve_beta"] > doc["alpha"]
 
 
+def test_solve_mode_on_curve_computes_root_and_check_once(tmp_path, monkeypatch):
+    from fucik import semilinear
+
+    calls = {"beta_of_alpha": 0, "check_gll": 0}
+
+    def counting(name):
+        original = getattr(semilinear, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semilinear, name, wrapper)
+
+    counting("beta_of_alpha")
+    counting("check_gll")
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"alpha": 3.0, "beta": "on-curve", "f": {"name": "atan_scaled"},
+                                "h": {"named": "phi_1"}}))
+    out = tmp_path / "oncurve"
+    assert _run(["--mode", "solve", "--elements", "16", "--problem", str(prob),
+                 "--out", str(out)]) == 0
+    assert calls == {"beta_of_alpha": 1, "check_gll": 1}
+    doc = json.loads((out / "solution.json").read_text())
+    assert doc["regime"] == fucik.RESONANCE
+    assert doc["gll"]["satisfied"]
+
+
 def test_solve_mode_requires_problem(tmp_path, capsys):
     code = _run(["--mode", "solve", "--out", str(tmp_path / "nope")])
     assert code == 2
@@ -284,3 +315,13 @@ def test_csv_floats_round_trip(tmp_path):
     _, _, rows = _read_csv(out / "eigenvalues.csv")
     got = np.array([float(r[1]) for r in rows])
     assert np.array_equal(got, basis.eigenvalues)
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = Path(fucik.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "fucik", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: fucik")
+    assert done.stderr == ""

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fucik
 
@@ -117,6 +120,46 @@ def test_table_quadrature_antiderivative():
     other = fucik.Nonlinearity.from_table(pts, np.tanh(pts))
     other.primitive(np.array([7.0, 0.1]))
     assert other.primitive(2.5) == table.primitive(2.5)
+
+
+def test_steep_table_certifies():
+    # slope 10 between knots at -0.1, 0, 0.1: central differences across
+    # those knots on a dense grid would miss the 1e-6 consistency bound
+    table = fucik.Nonlinearity.from_table([-0.1, 0.0, 0.1], [-1.0, 0.0, 1.0])
+    rep = table.validate()
+    assert rep.passed, [(c.name, c.details) for c in rep.checks if not c.passed]
+
+
+def test_nonlinearity_requires_antiderivative():
+    with pytest.raises(fucik.ConfigError):
+        fucik.Nonlinearity(name="bare", func=np.tanh, bound=1.0)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    start = draw(st.floats(min_value=-4.0, max_value=1.0))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=2.0), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n))
+    points = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    return points, np.array(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables(), t=st.floats(min_value=-12.0, max_value=12.0))
+def test_table_primitive_matches_quadrature(table, t):
+    points, values = table
+    nl = fucik.Nonlinearity.from_table(points, values)
+    # one probe in each constant-extrapolation tail besides the drawn one
+    for probe in (t, points[0] - 2.5, points[-1] + 2.5):
+        lo, hi = sorted((0.0, probe))
+        breaks = [lo, *(x for x in points if lo < x < hi), hi]
+        # the interpolant is linear between breaks, where quad is exact
+        ref = sum(scipy.integrate.quad(lambda x: np.interp(x, points, values), a, b)[0]
+                  for a, b in zip(breaks, breaks[1:]))
+        ref = ref if probe >= 0.0 else -ref
+        assert abs(float(nl.primitive(probe)) - ref) <= 1e-12 * (1.0 + abs(probe))
+    assert nl.primitive(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +399,21 @@ def test_solve_nonresonance_tanh(basis):
     assert res.diagnostics["weak_form_max_pairing"] <= prob.tol_res
 
 
+@pytest.mark.parametrize("kind", ["table", "tanh"])
+def test_phase1_stops_at_its_rounding_floor(kind):
+    # phase 1 once accepted steps that left the energy unchanged and ran on
+    # for hundreds of iterations on this problem (264 for tanh)
+    mesh = fucik.Mesh1D(0.0, math.pi, 10)
+    small = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
+    pts = np.arange(-2.75, 3.0, 0.5)
+    nl = fucik.Nonlinearity.from_table(pts, np.tanh(pts)) if kind == "table" else fucik.Nonlinearity.tanh()
+    prob = fucik.build_problem(fucik.FucikParams(1.8, 2.1, small), nl, _field(small, [1.2, -0.6, 0.4]))
+    res = fucik.solve(prob, seed=0)
+    assert res.status == fucik.CONVERGED
+    assert res.iterations < 100
+    assert res.gll is None
+
+
 def test_solve_detects_diverging_ray(basis):
     h = _field(basis, [0.0, 1.0])
     prob = _diag_resonance(basis, fucik.Nonlinearity.zero(), h)
@@ -383,6 +441,7 @@ def test_solve_resonance_with_admissibility(basis):
     assert res.status == fucik.CONVERGED
     assert res.residual <= prob.tol_res
     assert res.diagnostics["gll_satisfied"]
+    assert res.gll.satisfied and res.gll.ray_values == res.diagnostics["gll_ray_values"]
 
 
 def test_solve_refuses_failed_admissibility(basis):
