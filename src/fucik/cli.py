@@ -8,8 +8,9 @@ traced curve against the closed-form shooting construction (local kernel).
 Determinism contract: every artifact is a pure function of (config, seed,
 library version).  No timestamps are recorded; floats use shortest
 round-trip formatting; every file embeds the config hash, the seed, and the
-version.  All files for a run are computed first and then written atomically
-(temp + rename), so a failing run leaves no partial outputs.
+version.  All files for a run are computed first and then each is written to
+a uniquely named temp file and renamed into place, so a failing computation
+writes nothing and no file is ever seen half-written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -223,13 +225,44 @@ def _jsonable(value):
 
 
 def _json_document(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\\n"`` for a non-empty doc.
+
+    json's indenting encoder is pure Python, so the top-level lists of finite
+    floats (the eigenvector table of basis.json) are joined from their reprs
+    directly, a block at a time to keep few number strings alive at once;
+    every other member goes through json.dumps.
+    """
+    parts = ["{"]
+    for key in sorted(doc):
+        value = doc[key]
+        parts.append(f"\n  {json.dumps(key)}: ")
+        floats = isinstance(value, list) and value and all(type(v) is float for v in value)
+        if floats and all(map(math.isfinite, value)):
+            sep = ",\n    "
+            blocks = (sep.join(map(float.__repr__, value[i : i + 4096])) for i in range(0, len(value), 4096))
+            parts += ["[\n    ", sep.join(blocks), "\n  ]"]
+        else:
+            parts.append(json.dumps(_jsonable(value), sort_keys=True, indent=2).replace("\n", "\n  "))
+        parts.append(",")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a uniquely named temp file in the target directory."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            # mkstemp creates the file owner-only; give it the mode open() would
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(f.fileno(), 0o666 & ~mask)
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +617,10 @@ def run(config: RunConfig) -> int:
     """Execute one configured run and write its artifacts.
 
     Artifacts are computed in full before anything is written, then each
-    file goes through a temp-and-rename, so no partial files survive a
-    failure.  Returns the process exit status (0 iff all requested checks
-    passed).
+    file goes through its own temp-and-rename, so no half-written file
+    survives a failure.  The set is not swapped in as a whole: a crash
+    between two renames leaves some files from the previous run.  Returns
+    the process exit status (0 iff all requested checks passed).
     """
     prov = _provenance(config)
     artifacts, status = _MODE_RUNNERS[config.mode](config, prov)

@@ -13,8 +13,12 @@ s -> 1 validation mode.
 The singular element-pair integrals (same and adjacent elements) are done in
 closed form via power-law antiderivatives; well-separated pairs use 8-point
 tensor Gauss; the exterior contribution integrates the kernel tail
-analytically.  On a uniform mesh the interior rows of the stiffness matrix
-are translation invariant (Toeplitz), which doubles as an assembly check.
+analytically.  On the uniform mesh each pair integral depends only on the
+element gap, so the pair terms form a symmetric Toeplitz matrix computed
+from one 8x8 Gauss block per gap, and the far-pair row sums and exterior
+tails form a tridiagonal matrix: assembly takes O(n) memory besides the
+dense result.  This is the P1 scheme with analytic exterior tails of Acosta
+and Borthagaray (SIAM J. Numer. Anal. 55, 2017).
 
 Eigen-decomposition is the dense generalized symmetric solve A c = lambda M c
 (Cholesky reduction of M inside LAPACK), producing an L2-orthonormal basis in
@@ -32,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import (
     ConfigError,
@@ -53,6 +56,9 @@ SCHEMA_VERSION = 1
 # valid at the discrete level.
 _SIMPSON_OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SIMPSON_WEIGHTS = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
+
+# Tensor Gauss points per element for the well-separated element pairs.
+_GAUSS_ORDER = 8
 
 
 def _power_integral(exponent: float, t1: float, t2: float) -> float:
@@ -316,24 +322,22 @@ def _assemble_local(mesh: Mesh1D) -> np.ndarray:
     return a
 
 
-def _assemble_fractional(kernel: Kernel, mesh: Mesh1D, gauss_order: int = 8) -> np.ndarray:
+def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
+    # On the uniform mesh every pair integral depends only on the gap between
+    # the two elements, so the stiffness is a symmetric Toeplitz matrix (the
+    # near and far pair cross terms) plus a tridiagonal part (the far-pair
+    # row sums and the exterior tails) and a correction at the two end nodes.
     s, scale = kernel.s, kernel.scale
     sig = 1.0 + 2.0 * s
     h, n, N = mesh.h, mesh.n_elements, mesh.interior_dim
-    nodes = mesh.nodes
-    A = np.zeros((N, N))
-
-    def slope(i: int, p: int) -> float:
-        # slope of global hat i (1..N) on element p (1..n)
-        if p == i:
-            return 1.0 / h
-        if p == i + 1:
-            return -1.0 / h
-        return 0.0
+    row = np.zeros(N)  # first row of the Toeplitz part
+    diag, off = np.zeros(N), np.zeros(N - 1)  # tridiagonal part
 
     # same-element pairs: the hat differences are proportional to (x - y), so
     # the integrand is |x-y|^(1-2s) times the slope product
     q_same = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
+    slope = np.array([-1.0, 1.0]) / h  # hats p-1, p on element p
+    same = scale * q_same * np.outer(slope, slope)
 
     # adjacent-element pairs: with u, v the distances to the shared node the
     # integrand is (b_p u + b_q v)(b'_p u + b'_q v)(u+v)^(-1-2s); reduced along
@@ -352,97 +356,89 @@ def _assemble_fractional(kernel: Kernel, mesh: Mesh1D, gauss_order: int = 8) -> 
         + h**2 * P(1.0 - sig)
         - (2.0 * h**3 / 3.0) * P(-sig)
     )
-
-    for p in range(1, n + 1):
-        for i in (p - 1, p):
-            if not 1 <= i <= N:
-                continue
-            for j in (p - 1, p):
-                if not 1 <= j <= N:
-                    continue
-                A[i - 1, j - 1] += scale * slope(i, p) * slope(j, p) * q_same
-        q = p + 1
-        if q <= n:
-            for i in (p - 1, p, q):
-                if not 1 <= i <= N:
-                    continue
-                bi_p, bi_q = slope(i, p), slope(i, q)
-                for j in (p - 1, p, q):
-                    if not 1 <= j <= N:
-                        continue
-                    bj_p, bj_q = slope(j, p), slope(j, q)
-                    val = bi_p * bj_p * i20 + (bi_p * bj_q + bi_q * bj_p) * i11 + bi_q * bj_q * i20
-                    # pair counted for (x, y) and (y, x)
-                    A[i - 1, j - 1] += 2.0 * scale * val
-
-    # far pairs (element gap >= 2): tensor Gauss on the smooth integrand,
-    # vectorized through the kernel matrix on all Gauss points with the
-    # near-diagonal band removed
-    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
-    G = n * gauss_order
-    centers = 0.5 * (nodes[:-1] + nodes[1:])
-    xg = (centers[:, None] + 0.5 * h * gx[None, :]).ravel()
-    wg = np.tile(0.5 * h * gw, n)
-    W = np.abs(xg[:, None] - xg[None, :])
-    np.fill_diagonal(W, 1.0)
-    np.power(W, -sig, out=W)
-    W *= scale
-    W *= wg[:, None]
-    W *= wg[None, :]
-    for p in range(n):
-        lo = max(0, (p - 1) * gauss_order)
-        hi = min(G, (p + 2) * gauss_order)
-        W[p * gauss_order : (p + 1) * gauss_order, lo:hi] = 0.0
-
-    rows, cols, vals = [], [], []
-    for i in range(1, N + 1):
-        v = 1.0 - np.abs(xg - nodes[i]) / h
-        idx = np.nonzero(v > 0.0)[0]
-        rows.append(idx)
-        cols.append(np.full(idx.shape, i - 1))
-        vals.append(v[idx])
-    S = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(G, N)
+    # slopes of hats p-1, p, p+1 on elements p and q = p+1; the pair is
+    # counted for (x, y) and (y, x)
+    bp, bq = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]).T / h
+    adjacent = 2.0 * scale * (
+        i20 * (np.outer(bp, bp) + np.outer(bq, bq)) + i11 * (np.outer(bp, bq) + np.outer(bq, bp))
     )
-    r = W.sum(axis=1)
-    A += 2.0 * (S.T @ S.multiply(r[:, None])).toarray()
-    C = S.T @ W  # (N, G)
-    A -= 2.0 * (S.T @ C.T)
+    # summed over all elements, a local matrix adds its m-th diagonal to the
+    # Toeplitz offset m
+    row[:2] += [np.trace(same, offset=m) for m in range(2)]
+    row[:3] += [np.trace(adjacent, offset=m) for m in range(3)]
+    # the end nodes have no adjacent pair reaching past the boundary; that
+    # interaction is part of the exterior tail below
+    diag[0] -= adjacent[2, 2]
+    diag[-1] -= adjacent[0, 0]
+
+    # far pairs (element gap d >= 2): tensor Gauss on the smooth integrand.
+    # B[d] is the Gauss-point kernel block of elements e and e + d, E[d] its
+    # contraction with the two hat shapes on each element (0: hat e, 1: hat
+    # e + 1); E[d] = 0 for the near gaps d < 2
+    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    wg = 0.5 * h * gw
+    dist = h * (np.arange(2.0, n)[:, None, None] + 0.5 * (gx[None, None, :] - gx[None, :, None]))
+    B = np.zeros((n, _GAUSS_ORDER, _GAUSS_ORDER))
+    B[2:] = scale * dist ** (-sig) * wg[:, None] * wg[None, :]
+    shapes = np.stack([0.5 * (1.0 - gx), 0.5 * (1.0 + gx)])
+    E = shapes @ B @ shapes.T
+    # S^T W S: the pair (i, j = i + m) meets element gaps m - 1, m, m + 1
+    far_row = E[:N, 0, 0] + E[:N, 1, 1] + E[1 : N + 1, 1, 0]
+    far_row[1:] += E[: N - 1, 0, 1]
+    row -= 2.0 * far_row
+    # S^T diag(r) S with r the far row sums of each element's Gauss points:
+    # gaps 2 .. n-1-e to the right (block rows), 2 .. e to the left (columns)
+    to_right = np.cumsum(B.sum(axis=2), axis=0)
+    to_left = np.cumsum(B.sum(axis=1), axis=0)
+    r = to_right[n - 1 :: -1] + to_left[:n]  # (element, Gauss point)
+    q = r @ np.stack([shapes[0] ** 2, shapes[1] ** 2, shapes[0] * shapes[1]]).T
+    diag += 2.0 * (q[:N, 1] + q[1:, 0])
+    off += 2.0 * q[1:N, 2]
 
     # exterior contribution 2 * int phi_i phi_j T(x) dx with the analytic tail
-    # T(x) = scale/(2s) [(x-a)^(-2s) + (b-x)^(-2s)]; the quadratic phi_i phi_j
-    # is expanded in the distance-to-boundary variable so that the vanishing
-    # coefficients at the boundary elements are exact zeros
-    for p in range(1, n + 1):
-        u1, u2 = (p - 1) * h, p * h
-        d1, d2 = (n - p) * h, (n - p + 1) * h
-        poly_left = {p - 1: np.array([u2 / h, -1.0 / h]), p: np.array([-u1 / h, 1.0 / h])}
-        poly_right = {p - 1: np.array([-d1 / h, 1.0 / h]), p: np.array([d2 / h, -1.0 / h])}
-        for i in (p - 1, p):
-            if not 1 <= i <= N:
-                continue
-            for j in (p - 1, p):
-                if not 1 <= j <= N:
-                    continue
-                c_l = np.polynomial.polynomial.polymul(poly_left[i], poly_left[j])
-                c_r = np.polynomial.polynomial.polymul(poly_right[i], poly_right[j])
-                v_l = sum(
-                    c * _power_integral(k - 2.0 * s, u1, u2) for k, c in enumerate(c_l) if c != 0.0
-                )
-                v_r = sum(
-                    c * _power_integral(k - 2.0 * s, d1, d2) for k, c in enumerate(c_r) if c != 0.0
-                )
-                A[i - 1, j - 1] += 2.0 * (scale / (2.0 * s)) * (v_l + v_r)
+    # T(x) = scale/(2s) [(x-a)^(-2s) + (b-x)^(-2s)].  On the element [u1, u2]
+    # at distance j h .. (j+1) h from a boundary, the hats are (u - u1)/h
+    # ("rising", vanishing at the boundary side) and (u2 - u)/h ("falling");
+    # their products are expanded in powers of u and integrated exactly.  The
+    # element touching the boundary (u1 = 0) carries only the rising hat.
+    # The expansion cancels as (u/h)^3 far from the boundary, so rounding in
+    # the moments is amplified: a 1-ulp change (numpy's log and expm1 in
+    # place of math's, or another term order) moves entries by up to 1e-10
+    # of the largest at 257 elements.  The moments therefore come from the
+    # scalar _power_integral and each sum keeps the per-element term order.
+    u1, u2 = h * np.arange(1.0, n), h * np.arange(2.0, n + 1.0)
+    m0, m1, m2 = (np.array([_power_integral(k - 2.0 * s, t1, t2) for t1, t2 in zip(u1, u2)]) for k in range(3))
+    x1, x2, w = u1 / h, u2 / h, 1.0 / h
+    rising = np.empty(n)
+    rising[0] = (w * w) * _power_integral(2.0 - 2.0 * s, 0.0, h)
+    rising[1:] = (x1 * x1) * m0 + (-2.0 * (x1 * w)) * m1 + (w * w) * m2
+    falling = np.empty(n)
+    falling[0] = np.nan  # the boundary node carries no hat
+    falling[1:] = (x2 * x2) * m0 + (-2.0 * (x2 * w)) * m1 + (w * w) * m2
+    cross = -(x1 * x2) * m0 + (x2 * w + x1 * w) * m1 - (w * w) * m2
+    # node i meets element i-1 as its rising hat and element i as its falling
+    # hat, at distances i-1 and i from a and n-i and n-1-i from b
+    i = np.arange(1, n)
+    tail = 2.0 * (scale / (2.0 * s))
+    diag += tail * (rising[i - 1] + falling[n - i]) + tail * (falling[i] + rising[n - 1 - i])
+    off += tail * (cross[: N - 1] + cross[N - 2 :: -1])
 
-    return 0.5 * (A + A.T)
+    A = scipy.linalg.toeplitz(row)
+    idx = np.arange(N)
+    A[idx, idx] += diag
+    A[idx[:-1], idx[1:]] += off
+    A[idx[1:], idx[:-1]] += off
+    A += A.T
+    A *= 0.5
+    return A
 
 
-def assemble(kernel: Kernel, mesh: Mesh1D, gauss_order: int = 8) -> GalerkinOperator:
+def assemble(kernel: Kernel, mesh: Mesh1D) -> GalerkinOperator:
     """Assemble stiffness and mass matrices for a kernel on a mesh."""
     if kernel.variant == "local":
         A = _assemble_local(mesh)
     elif kernel.variant == "fractional":
-        A = _assemble_fractional(kernel, mesh, gauss_order=gauss_order)
+        A = _assemble_fractional(kernel, mesh)
     else:
         raise ConfigError(
             "tabulated kernels are validation-only; assembly needs the "
@@ -657,8 +653,8 @@ def basis_document(basis: EigenBasis) -> dict:
             "lambda_K": kernel.lambda_K,
         },
         "mesh": {"a": mesh.a, "b": mesh.b, "n_elements": mesh.n_elements},
-        "eigenvalues": [float(v) for v in basis.eigenvalues],
-        "vectors": [float(v) for v in basis.vectors.reshape(-1)],
+        "eigenvalues": basis.eigenvalues.tolist(),
+        "vectors": basis.vectors.reshape(-1).tolist(),
     }
 
 

@@ -307,6 +307,45 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_json_document_matches_indented_json_dumps(tmp_path):
+    from fucik.cli import _json_document, _jsonable
+
+    out = tmp_path / "eigen"
+    assert _run(["--mode", "eigen", "--kernel", "fractional:s=0.5", "--domain=-1,1",
+                 "--elements", "24", "--out", str(out)]) == 0
+    text = (out / "basis.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # the direct float-list path and the json.dumps path side by side
+    docs = [
+        doc,
+        {"b": [1.0, float("nan")], "a": [1, 2.5], "c": [], "d": np.arange(3.0),
+         "e": {"z": [0.1, -2e-300], "y": "x\ny"}, "f": [True, 0.5], "g": 1e22},
+    ]
+    for d in docs:
+        assert _json_document(d) == json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
+
+
+def test_out_dir_holding_temp_names_is_written(tmp_path):
+    # a directory where a fixed "<name>.tmp" temp file would go
+    out = tmp_path / "eigen"
+    (out / "basis.json.tmp").mkdir(parents=True)
+    assert _run(["--mode", "eigen", "--elements", "24", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["basis.json", "basis.json.tmp", "eigenvalues.csv"]
+    assert json.loads((out / "basis.json").read_text())["mesh"]["n_elements"] == 24
+    mask = os.umask(0)
+    os.umask(mask)
+    assert (out / "basis.json").stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "eigen"
+    (out / "basis.json").mkdir(parents=True)  # the rename onto it fails
+    with pytest.raises(OSError):
+        fucik.run(fucik.RunConfig(mode="eigen", elements=24, out=str(out)))
+    assert [p.name for p in out.iterdir()] == ["basis.json"]
+
+
 def test_csv_floats_round_trip(tmp_path):
     out = tmp_path / "eigen"
     assert _run(["--mode", "eigen", "--elements", "24", "--out", str(out)]) == 0

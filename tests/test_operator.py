@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,111 @@ def test_fractional_stiffness_toeplitz(frac32):
         diag = np.array([a[i, i + offset] for i in range(n - offset)])
         spread = (diag.max() - diag.min()) / np.abs(diag).max()
         assert spread <= 1e-11
+
+
+def _dense_fractional_stiffness(kernel, mesh, gauss_order=8):
+    """Reference assembly: explicit element-pair loops and the dense kernel
+    matrix on all Gauss points, with no use of the mesh's translation
+    invariance."""
+    _power_integral = fucik.operator._power_integral
+    s, scale = kernel.s, kernel.scale
+    sig = 1.0 + 2.0 * s
+    h, n, N = mesh.h, mesh.n_elements, mesh.interior_dim
+    nodes = mesh.nodes
+    A = np.zeros((N, N))
+
+    def slope(i, p):
+        # slope of global hat i (1..N) on element p (1..n)
+        if p == i:
+            return 1.0 / h
+        if p == i + 1:
+            return -1.0 / h
+        return 0.0
+
+    q_same = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
+    P = lambda e: _power_integral(e, h, 2.0 * h)
+    i20 = (
+        h ** (4.0 - sig) / (3.0 * (4.0 - sig))
+        + (2.0 * h**3 / 3.0) * P(-sig)
+        - h**2 * P(1.0 - sig)
+        + h * P(2.0 - sig)
+        - P(3.0 - sig) / 3.0
+    )
+    i11 = (
+        h ** (4.0 - sig) / (6.0 * (4.0 - sig))
+        - P(3.0 - sig) / 6.0
+        + h**2 * P(1.0 - sig)
+        - (2.0 * h**3 / 3.0) * P(-sig)
+    )
+    for p in range(1, n + 1):
+        for i in (p - 1, p):
+            for j in (p - 1, p):
+                if 1 <= i <= N and 1 <= j <= N:
+                    A[i - 1, j - 1] += scale * slope(i, p) * slope(j, p) * q_same
+        q = p + 1
+        if q <= n:
+            for i in (p - 1, p, q):
+                for j in (p - 1, p, q):
+                    if not (1 <= i <= N and 1 <= j <= N):
+                        continue
+                    bi_p, bi_q, bj_p, bj_q = slope(i, p), slope(i, q), slope(j, p), slope(j, q)
+                    val = bi_p * bj_p * i20 + (bi_p * bj_q + bi_q * bj_p) * i11 + bi_q * bj_q * i20
+                    A[i - 1, j - 1] += 2.0 * scale * val
+
+    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
+    G = n * gauss_order
+    centers = 0.5 * (nodes[:-1] + nodes[1:])
+    xg = (centers[:, None] + 0.5 * h * gx[None, :]).ravel()
+    wg = np.tile(0.5 * h * gw, n)
+    W = np.abs(xg[:, None] - xg[None, :])
+    np.fill_diagonal(W, 1.0)
+    W = scale * W ** (-sig) * wg[:, None] * wg[None, :]
+    for p in range(n):
+        W[p * gauss_order : (p + 1) * gauss_order, max(0, (p - 1) * gauss_order) : (p + 2) * gauss_order] = 0.0
+    S = np.maximum(0.0, 1.0 - np.abs(xg[:, None] - nodes[None, 1:-1]) / h)  # (G, N) hats at Gauss points
+    A += 2.0 * (S.T * W.sum(axis=1)) @ S
+    A -= 2.0 * S.T @ W @ S
+
+    for p in range(1, n + 1):
+        u1, u2 = (p - 1) * h, p * h
+        d1, d2 = (n - p) * h, (n - p + 1) * h
+        poly_left = {p - 1: np.array([u2 / h, -1.0 / h]), p: np.array([-u1 / h, 1.0 / h])}
+        poly_right = {p - 1: np.array([-d1 / h, 1.0 / h]), p: np.array([d2 / h, -1.0 / h])}
+        for i in (p - 1, p):
+            for j in (p - 1, p):
+                if not (1 <= i <= N and 1 <= j <= N):
+                    continue
+                c_l = np.polynomial.polynomial.polymul(poly_left[i], poly_left[j])
+                c_r = np.polynomial.polynomial.polymul(poly_right[i], poly_right[j])
+                v_l = sum(c * _power_integral(k - 2.0 * s, u1, u2) for k, c in enumerate(c_l) if c != 0.0)
+                v_r = sum(c * _power_integral(k - 2.0 * s, d1, d2) for k, c in enumerate(c_r) if c != 0.0)
+                A[i - 1, j - 1] += 2.0 * (scale / (2.0 * s)) * (v_l + v_r)
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize(
+    "n_elements, s, scale, domain",
+    [(n, s, 1.0, (-1.0, 1.0)) for n in (65, 129, 257) for s in (0.25, 0.5, 0.75)]
+    + [(129, 0.5, 3.7, (0.3, 2.9)), (257, 0.25, 0.2, (-1.0, 1.0))],
+)
+def test_fractional_stiffness_matches_dense_reference(n_elements, s, scale, domain):
+    kernel = fucik.Kernel.fractional(s=s, scale=scale)
+    mesh = fucik.Mesh1D(*domain, n_elements)
+    a = fucik.assemble(kernel, mesh).stiffness
+    ref = _dense_fractional_stiffness(kernel, mesh)
+    assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fractional_assembly_peak_memory_at_1025_elements():
+    # the dense Gauss-point kernel matrix alone would take 537 MB here; the
+    # stiffness and mass matrices are 8.4 MB each
+    tracemalloc.start()
+    try:
+        fucik.assemble(fucik.Kernel.fractional(0.5), fucik.Mesh1D(-1.0, 1.0, 1025))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_fractional_stiffness_psd(frac32):
