@@ -148,10 +148,8 @@ class ConditionCheck:
     details: dict
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    kernel: Kernel
-    checks: tuple[ConditionCheck, ...]
+class CheckReport:
+    """Base of the reports whose checks field holds ConditionChecks."""
 
     @property
     def passed(self) -> bool:
@@ -162,6 +160,12 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+@dataclass(frozen=True)
+class ValidationReport(CheckReport):
+    kernel: Kernel
+    checks: tuple[ConditionCheck, ...]
 
 
 def _log_grid_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 4000) -> float:

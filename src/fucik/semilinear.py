@@ -11,8 +11,9 @@ saddle geometry: anticoercive on the low subspace, bounded below on the
 manifold of partial maximizers when (alpha, beta) lies strictly below the
 spectral curve.  The solver exploits exactly that structure: phase one
 minimizes the reduced functional v -> max over the low subspace of E(u + v)
-by preconditioned descent, phase two polishes with a full-space Newton
-iteration on the gradient.
+by preconditioned descent, its inner maximization being the semismooth
+Newton kernel that spectrum uses for J, now with the forcing terms; phase
+two polishes with a full-space Newton iteration on the gradient.
 
 On the curve itself solvability needs an admissibility condition on the
 asymptotic behavior of f and h (the generalized Landesman-Lazer check,
@@ -38,12 +39,13 @@ from .errors import (
     MissingLimits,
     RegimeViolation,
 )
-from .operator import ConditionCheck, EigenBasis, Field, to_field
+from .operator import CheckReport, ConditionCheck, EigenBasis, Field, to_field
 from .spectrum import (
     FucikParams,
     FucikPoint,
     _gradient_arrays,
     _maximize_t,
+    _negate,
     beta_of_alpha,
     fucik_energy,
     maximize_low,
@@ -62,6 +64,10 @@ DIVERGING_RAY = "diverging-ray"
 RAY_GROWTH_FACTOR = 10.0
 RAY_CAUCHY_TOL = 1e-4
 RAY_CAUCHY_WINDOW = 10
+
+# iteration caps of the two solve phases
+_PHASE1_ITERS = 500
+_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,19 +294,9 @@ class Nonlinearity:
 
 
 @dataclass(frozen=True)
-class NonlinearityReport:
+class NonlinearityReport(CheckReport):
     name: str
     checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +531,7 @@ def check_gll(problem: SemilinearProblem, eigenset: tuple | None = None) -> GLLR
     diagonal = abs(problem.params.alpha - problem.params.beta) <= problem.params.tol_beta
     rays = list(members)
     if diagonal:
-        rays.extend(to_field(v.basis, coeffs=-v.coeffs) for v in members)
+        rays.extend(_negate(v) for v in members)
 
     values = tuple(_ray_functional(problem, v) for v in rays)
     slopes = tuple(_ray_slope(problem, v) for v in rays)
@@ -593,68 +589,13 @@ class SaddleResult:
 def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.ndarray, tol: float):
     """Damped Newton max of E(u + v) over the low subspace.
 
-    The quadratic part is strictly concave with margin delta; the bounded-f
-    part can locally spoil the Hessian sign, so the factorization falls back
-    to a gradient step and acceptance is by increase or gradient halving.
-    Returns (t, grad_norm, delta_eff) where delta_eff is the worst observed
+    The shared low-subspace kernel with the problem's forcing; returns
+    (t, grad_norm, iterations, delta_eff), delta_eff being the worst observed
     concavity ratio along accepted iterate pairs (positive = still concave).
     """
-    p = problem.params
-    basis, k = p.basis, p.k
-    lam1 = basis.eigenvalues[:k]
-    s1 = basis.sample_values[:, :k]
-    w = basis.sample_weights
-    nl = problem.nonlinearity
-    h_low = problem.h.coeffs[:k]
-    v_samples = basis.sample_values @ v_coeffs
-
-    def value_grad(t):
-        u = v_samples + s1 @ t
-        up = np.clip(u, 0.0, None)
-        un = np.clip(-u, 0.0, None)
-        fu = nl.evaluate(u)
-        val = (
-            0.5 * (float(lam1 @ t**2) - p.alpha * float(w @ up**2) - p.beta * float(w @ un**2))
-            - float(w @ nl.primitive(u))
-            - float(w @ (problem.h.samples * u))
-        )
-        grad = lam1 * t - s1.T @ (w * (p.alpha * up - p.beta * un + fu)) - h_low
-        return val, grad, u
-
-    t = np.asarray(t0, dtype=float).copy()
-    val, grad, u = value_grad(t)
-    delta_eff = math.inf
-    for _ in range(120):
-        gn = float(np.linalg.norm(grad))
-        if gn <= tol:
-            break
-        sel = np.where(u > 0.0, p.alpha, p.beta) + nl.derivative(u)
-        h = np.diag(lam1) - s1.T @ ((w * sel)[:, None] * s1)
-        try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-h), grad)
-        except scipy.linalg.LinAlgError:
-            step = grad / (p.beta + p.lambda_k + nl.bound)
-        slope = float(grad @ step)
-        if slope <= 0.0:
-            step = grad / (p.beta + p.lambda_k + nl.bound)
-            slope = float(grad @ step)
-        theta = 1.0
-        accepted = False
-        while theta > 1e-10:
-            t_new = t + theta * step
-            val_new, grad_new, u_new = value_grad(t_new)
-            if val_new >= val + 0.3 * theta * slope or float(np.linalg.norm(grad_new)) <= 0.5 * gn:
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            break
-        dt = t_new - t
-        energy_sq = float(lam1 @ dt**2)
-        if energy_sq > 1e-20:
-            delta_eff = min(delta_eff, -float((grad_new - grad) @ dt) / energy_sq)
-        t, val, grad, u = t_new, val_new, grad_new, u_new
-    return t, float(np.linalg.norm(grad)), delta_eff
+    forcing = (problem.nonlinearity, problem.h)
+    v_samples = problem.params.basis.sample_values @ v_coeffs
+    return _maximize_t(problem.params, v_samples, t0, forcing=forcing, tol=tol)
 
 
 def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0, n_samples: int = 50) -> dict:
@@ -696,10 +637,11 @@ def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0, n_samples: int =
     return {"radius": radius / 2.0, "sup_low": sup_low, "inf_high": inf_high, "certified": False}
 
 
-def _detect_ray(norms: list, dirs: list, start_norm: float):
+def _detect_ray(norms: list, dirs: list):
+    # phase 1 starts at u = 0, so growth is measured against unit norm
     if len(norms) < RAY_CAUCHY_WINDOW:
         return None
-    if norms[-1] < RAY_GROWTH_FACTOR * max(1.0, start_norm):
+    if norms[-1] < RAY_GROWTH_FACTOR:
         return None
     window = dirs[-RAY_CAUCHY_WINDOW:]
     ref = window[-1]
@@ -708,13 +650,7 @@ def _detect_ray(norms: list, dirs: list, start_norm: float):
     return None
 
 
-def solve(
-    problem: SemilinearProblem,
-    seed: int = 0,
-    force: bool = False,
-    max_outer: int = 500,
-    max_newton: int = 60,
-) -> SaddleResult:
+def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> SaddleResult:
     """Two-phase saddle-point search for a critical point of E.
 
     Phase one minimizes the reduced functional (partial max over the low
@@ -752,7 +688,7 @@ def solve(
 
     # phase 1: reduced descent over the high subspace
     v = np.zeros(basis.dim - k)
-    t_warm, _, _ = _maximize_t(p, basis.sample_values[:, k:] @ v, np.zeros(k))
+    t_warm = np.zeros(k)
     trace = []
     norms, dirs = [], []
     delta_eff = math.inf
@@ -764,12 +700,9 @@ def solve(
         c[k:] = v_high
         return c
 
-    c0 = composite(v, t_warm)
-    start_norm = float(np.linalg.norm(c0))
-
     def reduced_eval(v_high, warm_t):
         v_full = composite(v_high, np.zeros(k))
-        t_new, _, deff = _maximize_low_E(problem, v_full, warm_t, inner_tol)
+        t_new, _, _, deff = _maximize_low_E(problem, v_full, warm_t, inner_tol)
         c = composite(v_high, t_new)
         val = semilinear_energy(problem, to_field(basis, coeffs=c))
         g_full = _semilinear_gradient_coeffs(problem, c)
@@ -779,14 +712,13 @@ def solve(
     delta_eff = min(delta_eff, deff)
     eta = 1.0
     prev_v = prev_g = None
-    phase1_status = None
-    for _ in range(max_outer):
+    for _ in range(_PHASE1_ITERS):
         gn = float(np.linalg.norm(g))
         res_full = float(np.linalg.norm(_semilinear_gradient_coeffs(problem, c_cur)))
         trace.append((val, res_full))
         norms.append(float(np.linalg.norm(c_cur)))
         dirs.append(c_cur / max(norms[-1], 1e-300))
-        ray = _detect_ray(norms, dirs, start_norm)
+        ray = _detect_ray(norms, dirs)
         if ray is not None:
             return SaddleResult(
                 u_star=None,
@@ -836,7 +768,7 @@ def solve(
     s = basis.sample_values
     w = basis.sample_weights
     newton_target = 1e-4 * tol_res
-    for _ in range(max_newton):
+    for _ in range(_NEWTON_ITERS):
         if res <= newton_target:
             break
         u_s = s @ c

@@ -23,6 +23,7 @@ case, concavity constant) hold to machine precision because of this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,44 +194,69 @@ def fucik_gradient(params: FucikParams, u: Field) -> Field:
 # partial maximization over the low subspace
 
 
-def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, max_iter: int = 120):
+_LOW_NEWTON_ITERS = 120
+
+
+def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forcing=None, tol=None):
     """Semismooth Newton ascent for the k low coefficients.
 
     The sample-pattern Hessian selection keeps every candidate Hessian below
     diag(lambda_j - alpha) < 0, so the Newton system is uniformly negative
     definite and the step is an ascent direction; Armijo damping globalizes.
-    Returns (t, gradient_norm, iterations).
+
+    forcing=(nonlinearity, h) maximizes E = J - integral of (F(u) + h u)
+    instead of J: f(u) joins the gradient and f'(u) the Hessian selection,
+    which the bounded f can locally spoil, so a non-ascent step falls back to
+    a gradient step.  Without forcing a stall above tol_grad raises
+    MaxIterations; with it the caller judges the returned gradient norm.
+    Returns (t, gradient_norm, iterations, delta_eff), delta_eff being the
+    worst observed concavity ratio along accepted iterate pairs when forced
+    (inf without forcing, where delta is known and maximize_low checks it).
     """
     basis, alpha, beta = params.basis, params.alpha, params.beta
     k = params.k
     lam1 = basis.eigenvalues[:k]
     s1 = basis.sample_values[:, :k]
     w = basis.sample_weights
+    nl, bound = None, 0.0
+    if forcing is not None:
+        nl, h_field = forcing
+        bound, h_low, h_samples = nl.bound, h_field.coeffs[:k], h_field.samples
 
     def value_grad(t):
         u = v_samples + s1 @ t
         up, un = _pos(u), _neg(u)
         val = 0.5 * (float(lam1 @ t**2) - alpha * float(w @ up**2) - beta * float(w @ un**2))
-        grad = lam1 * t - s1.T @ (w * (alpha * up - beta * un))
+        rep = alpha * up - beta * un
+        if nl is None:
+            return val, lam1 * t - s1.T @ (w * rep), u
+        val = val - float(w @ nl.primitive(u)) - float(w @ (h_samples * u))
+        grad = lam1 * t - s1.T @ (w * (rep + nl.evaluate(u))) - h_low
         return val, grad, u
 
     t = np.asarray(t0, dtype=float).copy()
     val, grad, u = value_grad(t)
-    tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
-    floor = params.tol_grad
+    if tol is None:
+        tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
+    delta_eff = math.inf
     it = 0
-    while it < max_iter:
+    while it < _LOW_NEWTON_ITERS:
         gn = float(np.linalg.norm(grad))
         if gn <= tol:
             break
         # generalized Hessian with the alpha branch on u >= 0
-        sel = np.where(u > 0.0, alpha, beta) * w
-        h = np.diag(lam1) - s1.T @ (sel[:, None] * s1)
+        sel = np.where(u > 0.0, alpha, beta)
+        if nl is not None:
+            sel = sel + nl.derivative(u)
+        h = np.diag(lam1) - s1.T @ ((w * sel)[:, None] * s1)
         try:
             step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-h), grad)
+            slope = float(grad @ step)
         except scipy.linalg.LinAlgError:
-            step = grad / (beta + basis.lambda_k)
-        slope = float(grad @ step)
+            slope = 0.0
+        if slope <= 0.0:
+            step = grad / (beta + basis.lambda_k + bound)
+            slope = float(grad @ step)
         # accept on sufficient increase, or (once increases drown in
         # roundoff) on halving the gradient, which full Newton steps do
         theta = 1.0
@@ -244,16 +270,21 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, max_
             theta *= 0.5
         if not accepted:
             break
+        if nl is not None:
+            dt = t_new - t
+            energy_sq = float(lam1 @ dt**2)
+            if energy_sq > 1e-20:
+                delta_eff = min(delta_eff, -float((grad_new - grad) @ dt) / energy_sq)
         t, val, grad, u = t_new, val_new, grad_new, u_new
         it += 1
     gn = float(np.linalg.norm(grad))
-    if gn > floor:
+    if nl is None and gn > params.tol_grad:
         raise MaxIterations(
             f"low-subspace maximization stalled at gradient norm {gn:.3e}",
             best=t,
             residual=gn,
         )
-    return t, gn, it
+    return t, gn, it, delta_eff
 
 
 def maximize_low(params: FucikParams, v: Field, warm: np.ndarray | None = None) -> Field:
@@ -268,7 +299,7 @@ def maximize_low(params: FucikParams, v: Field, warm: np.ndarray | None = None) 
         raise ConfigError("v must be supported on the high subspace")
     v_samples = v.samples
     t0 = np.zeros(k) if warm is None else np.asarray(warm, dtype=float)
-    t, _, _ = _maximize_t(params, v_samples, t0)
+    t = _maximize_t(params, v_samples, t0)[0]
     _check_concavity(params, v, t0, t)
     coeffs = np.zeros(params.basis.dim)
     coeffs[:k] = t
@@ -319,6 +350,10 @@ def reduced_gradient(params: FucikParams, v: Field) -> Field:
 # sphere minimization
 
 
+_DESCEND_ITERS = 80
+_FREEZE_ITERS = 40
+
+
 class _SphereSolver:
     """One (alpha, beta) instance: reduced energy/gradient with warm starts."""
 
@@ -337,7 +372,7 @@ class _SphereSolver:
         coeffs = np.zeros(self.basis.dim)
         coeffs[k:] = vh
         v_samples = self.s[:, k:] @ vh
-        t, _, _ = _maximize_t(p, v_samples, self.t_warm)
+        t = _maximize_t(p, v_samples, self.t_warm)[0]
         self.t_warm = t
         coeffs[:k] = t
         val = _energy_arrays(self.basis, p.alpha, p.beta, coeffs)
@@ -345,7 +380,7 @@ class _SphereSolver:
         tangential = grad - (2.0 * val) * vh
         return val, tangential, coeffs
 
-    def descend(self, vh: np.ndarray, max_iter: int = 80):
+    def descend(self, vh: np.ndarray):
         """Preconditioned projected gradient with a BB step and Armijo guard."""
         p, k = self.params, self.k
         pre = 1.0 / (self.lam[k:] - p.alpha + 1.0 + p.beta - p.alpha)
@@ -354,7 +389,7 @@ class _SphereSolver:
         eta = 1.0
         prev_v, prev_g = None, None
         used = 0
-        for _ in range(max_iter):
+        for _ in range(_DESCEND_ITERS):
             gn = float(np.linalg.norm(g))
             if gn <= 0.3 * p.tol_grad:
                 break
@@ -384,7 +419,7 @@ class _SphereSolver:
             used += 1
         return vh, val, g, used
 
-    def freeze_refine(self, vh: np.ndarray, max_iter: int = 40):
+    def freeze_refine(self, vh: np.ndarray):
         """Sign-pattern-freeze refinement.
 
         Freezing the positive/negative pattern of the current composite field
@@ -398,7 +433,7 @@ class _SphereSolver:
         val, g, coeffs = self.eval(vh)
         pattern = self.s @ coeffs > 0.0
         used = 0
-        for _ in range(max_iter):
+        for _ in range(_FREEZE_ITERS):
             neg_w = self.w * (~pattern)
             sneg = self.s * np.sqrt(neg_w)[:, None]
             b = sneg.T @ sneg
@@ -730,9 +765,9 @@ def swap(obj):
             alpha=obj.beta,
             beta=obj.alpha,
             m_value=obj.m_value,
-            minimizer=_unit_negate(obj.minimizer),
+            minimizer=_negate(obj.minimizer),
             eigenfunction=_negate(obj.eigenfunction),
-            alternates=tuple(_unit_negate(a) for a in obj.alternates),
+            alternates=tuple(_negate(a) for a in obj.alternates),
             residual=obj.residual,
             beta_slope=obj.beta_slope,
             iterations=obj.iterations,
@@ -750,10 +785,6 @@ def swap(obj):
             mirrored=not obj.mirrored,
         )
     raise ConfigError(f"cannot swap object of type {type(obj).__name__}")
-
-
-def _unit_negate(u: Field) -> Field:
-    return to_field(u.basis, coeffs=-u.coeffs)
 
 
 def eigen_residual(basis: EigenBasis, alpha: float, beta: float, w: Field) -> float:

@@ -364,3 +364,18 @@ def test_module_entry_point_runs_without_warnings():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: fucik")
     assert done.stderr == ""
+
+
+def test_curve_is_byte_identical_across_blas_thread_counts(tmp_path):
+    src = Path(fucik.__file__).resolve().parent.parent
+    base = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**base, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "fucik", "--mode", "curve", "--elements", "32",
+                               "--alpha-samples", "3", "--seed", "4", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append((out / "curve.csv").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -376,6 +376,32 @@ def test_gll_slope_matches_ray_functional(basis):
 # saddle-point solves
 
 
+@pytest.mark.parametrize("kernel, domain, k", [
+    (fucik.Kernel.local(), (0.0, math.pi), 1),
+    (fucik.Kernel.fractional(s=0.5), (-1.0, 1.0), 2),
+])
+def test_low_max_of_E_with_zero_forcing_is_low_max_of_J(kernel, domain, k):
+    from fucik.semilinear import _maximize_low_E
+    from fucik.spectrum import _maximize_t
+
+    b = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(*domain, 24)), k=k)
+    gap = b.lambda_k1 - b.lambda_k
+    params = fucik.FucikParams(alpha=b.lambda_k + 0.3 * gap, beta=b.lambda_k + 0.9 * gap, basis=b)
+    prob = fucik.build_problem(params, fucik.Nonlinearity.zero(), _zero_field(b))
+    rng = np.random.default_rng(5)
+    for scale in (0.1, 1.0, 10.0):
+        c = np.zeros(b.dim)
+        c[k:] = scale * rng.standard_normal(b.dim - k)
+        t0 = rng.standard_normal(k)
+        v_samples = b.sample_values @ c
+        tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
+        t_j, gn_j, it_j, _ = _maximize_t(params, v_samples, t0)
+        t_e, gn_e, it_e, _ = _maximize_low_E(prob, c, t0, tol)
+        assert it_j > 0
+        assert np.array_equal(t_e, t_j)
+        assert (gn_e, it_e) == (gn_j, it_j)
+
+
 def test_solve_linear_fredholm(basis):
     rng = np.random.default_rng(19)
     mu = 0.5 * (basis.lambda_k + basis.lambda_k1)
