@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .blas import single_threaded
 from .errors import (
     BracketExhausted,
     ConfigError,
@@ -650,6 +651,7 @@ def _detect_ray(norms: list, dirs: list):
     return None
 
 
+@single_threaded()
 def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> SaddleResult:
     """Two-phase saddle-point search for a critical point of E.
 
@@ -660,7 +662,8 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
     fallback for the singular directions that appear at resonance.
     Convergence additionally verifies the weak formulation against 50
     seeded random test fields.  At resonance the admissibility check runs
-    first and a failure raises RegimeViolation unless force=True.
+    first and a failure raises RegimeViolation unless force=True.  BLAS runs
+    single-threaded for the duration.
     """
     p = problem.params
     basis, k = p.basis, p.k
@@ -705,16 +708,16 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         t_new, _, _, deff = _maximize_low_E(problem, v_full, warm_t, inner_tol)
         c = composite(v_high, t_new)
         val = semilinear_energy(problem, to_field(basis, coeffs=c))
-        g_full = _semilinear_gradient_coeffs(problem, c)
-        return val, g_full[k:], t_new, c, deff
+        return val, _semilinear_gradient_coeffs(problem, c), t_new, c, deff
 
-    val, g, t_warm, c_cur, deff = reduced_eval(v, t_warm)
+    val, g_full, t_warm, c_cur, deff = reduced_eval(v, t_warm)
+    g = g_full[k:]
     delta_eff = min(delta_eff, deff)
     eta = 1.0
     prev_v = prev_g = None
     for _ in range(_PHASE1_ITERS):
         gn = float(np.linalg.norm(g))
-        res_full = float(np.linalg.norm(_semilinear_gradient_coeffs(problem, c_cur)))
+        res_full = float(np.linalg.norm(g_full))
         trace.append((val, res_full))
         norms.append(float(np.linalg.norm(c_cur)))
         dirs.append(c_cur / max(norms[-1], 1e-300))
@@ -746,7 +749,8 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         accepted = False
         for _ in range(30):
             v_new = v - step * d
-            val_new, g_new, t_new, c_new, deff = reduced_eval(v_new, t_warm)
+            val_new, g_full_new, t_new, c_new, deff = reduced_eval(v_new, t_warm)
+            g_new = g_full_new[k:]
             if val_new < val - max(1e-4 * step * slope, floor) or float(np.linalg.norm(g_new)) <= 0.5 * gn:
                 accepted = True
                 break
@@ -755,7 +759,7 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         if not accepted:
             break
         prev_v, prev_g = v, g
-        v, val, g, t_warm, c_cur = v_new, val_new, g_new, t_new, c_new
+        v, val, g, g_full, t_warm, c_cur = v_new, val_new, g_new, g_full_new, t_new, c_new
         delta_eff = min(delta_eff, deff)
     diagnostics["delta_eff"] = delta_eff
 
@@ -763,7 +767,6 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
     # internal target sits well below tol_res because the quadratic tail of
     # Newton is nearly free and linear problems then come out machine-exact
     c = c_cur.copy()
-    g_full = _semilinear_gradient_coeffs(problem, c)
     res = float(np.linalg.norm(g_full))
     s = basis.sample_values
     w = basis.sample_weights
@@ -775,7 +778,7 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         sel = np.where(u_s > 0.0, p.alpha, p.beta) + nl.derivative(u_s)
         hess = np.diag(lam) - s.T @ ((w * sel)[:, None] * s)
         try:
-            step = scipy.linalg.solve(hess, -g_full)
+            step = scipy.linalg.solve(hess, -g_full, check_finite=False)
         except scipy.linalg.LinAlgError:
             step = None
         if step is None or not np.all(np.isfinite(step)):

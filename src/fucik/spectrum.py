@@ -12,13 +12,17 @@ subspace is positive below the spectral curve and crosses zero exactly on it,
 which turns curve computation into one-dimensional root finding in beta.
 
 Solvers: the partial maximization is a damped semismooth Newton method (the
-gradient is piecewise linear in the low coefficients); the sphere minimum
-combines projected gradient descent with a sign-pattern-freeze refinement
-that solves the exact quadratic obtained by freezing the positive/negative
-sample pattern, accepting only true decreases.  All quadratures use the
-basis's shared per-element Simpson rule, which integrates products of
-piecewise-linear fields exactly; several identities in the tests (diagonal
-case, concavity constant) hold to machine precision because of this.
+gradient is piecewise linear in the low coefficients).  The sphere minimum
+runs a sign-pattern-freeze refinement from each start: it solves the exact
+quadratic obtained by freezing the positive/negative sample pattern and
+accepts only true decreases.  A start it leaves above the stationarity
+tolerance falls back to projected gradient descent and a second refinement.
+Each reduced evaluation makes one sample product and one gather, because the
+composite samples formed from the partial maximizer give the value, the
+gradient and the sign pattern.  All quadratures use the basis's shared
+per-element Simpson rule, which integrates products of piecewise-linear
+fields exactly; several identities in the tests (diagonal case, concavity
+constant) hold to machine precision because of this.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .blas import single_threaded
 from .errors import (
     BracketExhausted,
     ConfigError,
@@ -159,11 +164,11 @@ class CurveBranch:
 
 
 def _pos(x):
-    return np.clip(x, 0.0, None)
+    return np.maximum(x, 0.0)
 
 
 def _neg(x):
-    return np.clip(-x, 0.0, None)
+    return np.maximum(-x, 0.0)
 
 
 def _energy_arrays(basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray) -> float:
@@ -250,7 +255,8 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
             sel = sel + nl.derivative(u)
         h = np.diag(lam1) - s1.T @ ((w * sel)[:, None] * s1)
         try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-h), grad)
+            factor = scipy.linalg.cho_factor(-h, check_finite=False)
+            step = scipy.linalg.cho_solve(factor, grad, check_finite=False)
             slope = float(grad @ step)
         except scipy.linalg.LinAlgError:
             slope = 0.0
@@ -367,7 +373,8 @@ class _SphereSolver:
         self.t_warm = np.zeros(self.k)
 
     def eval(self, vh: np.ndarray):
-        """Reduced value, tangential gradient, and full coefficients at unit vh."""
+        """Reduced value, tangential gradient, full coefficients and composite
+        samples at unit vh: one sample product and one gather."""
         p, k = self.params, self.k
         coeffs = np.zeros(self.basis.dim)
         coeffs[k:] = vh
@@ -375,17 +382,19 @@ class _SphereSolver:
         t = _maximize_t(p, v_samples, self.t_warm)[0]
         self.t_warm = t
         coeffs[:k] = t
-        val = _energy_arrays(self.basis, p.alpha, p.beta, coeffs)
-        grad = _gradient_arrays(self.basis, p.alpha, p.beta, coeffs)[k:]
+        u = v_samples + self.s[:, :k] @ t
+        up, un = _pos(u), _neg(u)
+        val = 0.5 * (float(self.lam @ coeffs**2) - p.alpha * float(self.w @ up**2) - p.beta * float(self.w @ un**2))
+        grad = self.lam[k:] * vh - self.s[:, k:].T @ (self.w * (p.alpha * up - p.beta * un))
         tangential = grad - (2.0 * val) * vh
-        return val, tangential, coeffs
+        return val, tangential, coeffs, u
 
     def descend(self, vh: np.ndarray):
         """Preconditioned projected gradient with a BB step and Armijo guard."""
         p, k = self.params, self.k
         pre = 1.0 / (self.lam[k:] - p.alpha + 1.0 + p.beta - p.alpha)
         vh = vh / np.linalg.norm(vh)
-        val, g, _ = self.eval(vh)
+        val, g, _, _ = self.eval(vh)
         eta = 1.0
         prev_v, prev_g = None, None
         used = 0
@@ -407,7 +416,7 @@ class _SphereSolver:
             for _ in range(25):
                 cand = vh - step * d
                 cand /= np.linalg.norm(cand)
-                val_new, g_new, _ = self.eval(cand)
+                val_new, g_new, _, _ = self.eval(cand)
                 if val_new <= val - 1e-4 * step * float(g @ d):
                     accepted = True
                     break
@@ -430,8 +439,8 @@ class _SphereSolver:
         gradients coincide.
         """
         p, k = self.params, self.k
-        val, g, coeffs = self.eval(vh)
-        pattern = self.s @ coeffs > 0.0
+        val, g, _, u = self.eval(vh)
+        pattern = u > 0.0
         used = 0
         for _ in range(_FREEZE_ITERS):
             neg_w = self.w * (~pattern)
@@ -442,12 +451,12 @@ class _SphereSolver:
             h11 = h[:k, :k]
             h12 = h[:k, k:]
             try:
-                sol = scipy.linalg.solve(h11, h12, assume_a="sym")
+                sol = scipy.linalg.solve(h11, h12, assume_a="sym", check_finite=False)
             except scipy.linalg.LinAlgError:
                 break
             schur = h[k:, k:] - h12.T @ sol
             schur = 0.5 * (schur + schur.T)
-            mu, vec = scipy.linalg.eigh(schur, subset_by_index=[0, 0])
+            mu, vec = scipy.linalg.eigh(schur, subset_by_index=[0, 0], check_finite=False)
             v_new = vec[:, 0]
             if float(v_new @ vh) < 0.0:
                 v_new = -v_new
@@ -461,37 +470,41 @@ class _SphereSolver:
                 nrm = float(np.linalg.norm(cand))
                 if nrm > 1e-12:
                     cand /= nrm
-                    val_new, g_new, coeffs_new = self.eval(cand)
+                    val_new, g_new, _, u_new = self.eval(cand)
                     if val_new < val - 1e-15 * (1.0 + abs(val)) or float(np.linalg.norm(g_new)) < 0.5 * gn:
                         improved = True
                         break
                 theta *= 0.5
             if not improved:
                 break
-            vh, val, g, coeffs = cand, val_new, g_new, coeffs_new
+            vh, val, g, u = cand, val_new, g_new, u_new
             used += 1
             if float(np.linalg.norm(g)) <= 0.05 * p.tol_grad:
                 break
-            pattern_new = self.s @ coeffs > 0.0
+            pattern_new = u > 0.0
             if np.array_equal(pattern_new, pattern):
                 break
             pattern = pattern_new
         return vh, val, g, used
 
 
+@single_threaded()
 def minimize_on_sphere(
     params: FucikParams, seed: int = 0, warm: Field | None = None, multistart: bool = True
 ) -> FucikPoint:
     """Best-of-multistart minimum of the reduced energy on the unit sphere.
 
     Starts from +-phi_{k+1}, +-phi_{k+2}, and one seeded random direction
-    (plus the warm start when given); each start runs projected descent then
-    pattern-freeze refinement.  With multistart=False only the warm start is
-    solved (cheap continuation inside root finding); correctness there is
-    backed by a full multistart certification at the located root.  The
-    returned point carries a stationarity certificate (tangential gradient of
-    the true reduced functional below tol_grad), the tie-break diagnostics,
-    and all distinct tied minimizers.
+    (plus the warm start when given).  Every start runs pattern-freeze
+    refinement first, which usually certifies within a few steps; only a
+    start whose tangential gradient is still above tol_grad falls back to
+    projected descent followed by a second refinement.  With
+    multistart=False only the warm start is solved (cheap continuation
+    inside root finding); correctness there is backed by a full multistart
+    certification at the located root.  The returned point carries a
+    stationarity certificate (tangential gradient of the true reduced
+    functional below tol_grad), the tie-break diagnostics, and all distinct
+    tied minimizers.  BLAS runs single-threaded for the duration.
     """
     basis, k = params.basis, params.k
     dim_high = basis.dim - k
@@ -517,33 +530,28 @@ def minimize_on_sphere(
     results = []
     total_iter = 0
     for idx, v0 in enumerate(starts):
-        if multistart:
-            vh, val, g, used_a = solver.descend(v0)
+        # the frozen-pattern solve alone usually lands a stationary point;
+        # descend only when its certificate is not yet met
+        vh, val, g, used = solver.freeze_refine(v0)
+        if float(np.linalg.norm(g)) > params.tol_grad:
+            vh, val, g, used_a = solver.descend(vh)
             vh, val, g, used_b = solver.freeze_refine(vh)
-        else:
-            # continuation step: the frozen-pattern solve alone usually lands
-            # the new optimum; fall back to descent if its certificate slips
-            vh, val, g, used_b = solver.freeze_refine(v0)
-            used_a = 0
-            if float(np.linalg.norm(g)) > params.tol_grad:
-                vh, val, g, used_a = solver.descend(vh)
-                vh, val, g, used_c = solver.freeze_refine(vh)
-                used_b += used_c
+            used += used_a + used_b
         results.append((val, idx, vh, g))
-        total_iter += used_a + used_b
+        total_iter += used
 
     best_val = min(r[0] for r in results)
     tied = [r for r in results if r[0] <= best_val + params.tol_m]
 
-    def beta_slope(vh):
+    def beta_slope(u):
         # dJ~/dbeta = -1/2 ||negative part of the composite field||^2
-        _, _, coeffs = solver.eval(vh)
-        u = basis.sample_values @ coeffs
         return -0.5 * float(basis.sample_weights @ _neg(u) ** 2)
 
-    keyed = sorted(tied, key=lambda r: (abs(beta_slope(r[2])), r[1]))
+    keyed = tied
+    if len(tied) > 1:
+        keyed = sorted(tied, key=lambda r: (abs(beta_slope(solver.eval(r[2])[3])), r[1]))
     val, idx, vh, g = keyed[0]
-    val, g, coeffs = solver.eval(vh)
+    val, g, coeffs, u = solver.eval(vh)
 
     residual = float(np.linalg.norm(g))
     if residual > params.tol_grad:
@@ -576,7 +584,7 @@ def minimize_on_sphere(
         eigenfunction=eigenfunction,
         alternates=tuple(alternates),
         residual=residual,
-        beta_slope=beta_slope(vh),
+        beta_slope=beta_slope(u),
         iterations=total_iter,
     )
 

@@ -440,6 +440,38 @@ def test_phase1_stops_at_its_rounding_floor(kind):
     assert res.gll is None
 
 
+def test_solve_evaluates_each_gradient_once(monkeypatch):
+    # the E gradient at an accepted phase-1 iterate was once computed again
+    # at the loop head, and again at the start of phase 2: 164 evaluations
+    # for 67 iterations on this problem
+    from fucik import semilinear
+
+    mesh = fucik.Mesh1D(0.0, math.pi, 10)
+    small = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
+    prob = fucik.build_problem(fucik.FucikParams(1.8, 2.1, small), fucik.Nonlinearity.tanh(),
+                               _field(small, [1.2, -0.6, 0.4]))
+    gradient, inner = semilinear._semilinear_gradient_coeffs, semilinear._maximize_low_E
+    events = []  # None per inner maximization (one per reduced evaluation), else the gradient's point
+
+    def counted_gradient(problem, coeffs):
+        events.append(coeffs.copy())
+        return gradient(problem, coeffs)
+
+    def counted_inner(*args, **kwargs):
+        events.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "_semilinear_gradient_coeffs", counted_gradient)
+    monkeypatch.setattr(semilinear, "_maximize_low_E", counted_inner)
+    res = fucik.solve(prob, seed=0)
+    assert res.status == fucik.CONVERGED
+    marks = [i for i, e in enumerate(events) if e is None]
+    assert marks[0] == 0
+    assert all(b - a <= 2 for a, b in zip(marks, marks[1:]))
+    points = [e.tobytes() for e in events if e is not None]
+    assert len(set(points)) == len(points)
+
+
 def test_solve_detects_diverging_ray(basis):
     h = _field(basis, [0.0, 1.0])
     prob = _diag_resonance(basis, fucik.Nonlinearity.zero(), h)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fucik
+from fucik import spectrum
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +347,103 @@ def test_sphere_warm_continuation_matches_multistart(local1):
     cont = fucik.minimize_on_sphere(p2, seed=0, warm=warm.minimizer, multistart=False)
     assert abs(cont.m_value - cold.m_value) <= p2.tol_m
     assert cont.residual <= p2.tol_grad
+
+
+class _ReferenceSolver(spectrum._SphereSolver):
+    """The sphere solver with the earlier evaluation: full sample products
+    for the energy, the gradient and the composite field."""
+
+    def eval(self, vh):
+        p, k = self.params, self.k
+        coeffs = np.zeros(self.basis.dim)
+        coeffs[k:] = vh
+        t = spectrum._maximize_t(p, self.s[:, k:] @ vh, self.t_warm)[0]
+        self.t_warm = t
+        coeffs[:k] = t
+        val = spectrum._energy_arrays(self.basis, p.alpha, p.beta, coeffs)
+        grad = spectrum._gradient_arrays(self.basis, p.alpha, p.beta, coeffs)[k:]
+        return val, grad - (2.0 * val) * vh, coeffs, self.s @ coeffs
+
+
+def _reference_sphere_min(params, seed=0):
+    """Earlier multistart: every start runs descent, then pattern freezing."""
+    solver = _ReferenceSolver(params)
+    dim_high = params.basis.dim - params.k
+    starts = []
+    for j in (0, 1):
+        e = np.zeros(dim_high)
+        e[j] = 1.0
+        starts += [e, -e]
+    r = np.random.default_rng(seed).standard_normal(dim_high)
+    starts.append(r / np.linalg.norm(r))
+    best = math.inf
+    for v0 in starts:
+        vh, _, _, _ = solver.descend(v0)
+        best = min(best, solver.freeze_refine(vh)[1])
+    return best
+
+
+@pytest.fixture(scope="module")
+def frac2(frac1):
+    return frac1.with_k(2)
+
+
+@pytest.mark.parametrize("name", ["local1", "local2", "frac1", "frac2"])
+def test_sphere_freeze_first_matches_descent_first(name, request):
+    basis = request.getfixturevalue(name)
+    a = _alpha_at(basis, 0.5)
+    betas = [basis.lambda_k1, 1.5 * basis.lambda_k1]
+    if name in ("local1", "frac1"):
+        betas.append(fucik.beta_of_alpha(a, basis).beta)  # on the curve
+    for b in betas:
+        p = fucik.FucikParams(alpha=a, beta=b, basis=basis)
+        pt = fucik.minimize_on_sphere(p, seed=0)
+        assert pt.residual <= p.tol_grad
+        assert abs(pt.m_value - _reference_sphere_min(p, seed=0)) <= p.tol_m
+
+
+def test_sphere_start_falls_back_to_descent(local2, monkeypatch):
+    # a first refinement that leaves each start where it is must still end
+    # in a certified point through descent and a second refinement
+    p = fucik.FucikParams(alpha=_alpha_at(local2, 0.5), beta=1.5 * local2.lambda_k1, basis=local2)
+    expected = fucik.minimize_on_sphere(p, seed=0)
+    refine, descend = spectrum._SphereSolver.freeze_refine, spectrum._SphereSolver.descend
+    descended = []
+
+    def stalled_refine(self, vh):
+        if descended and descended[-1] is self:
+            descended.append(None)
+            return refine(self, vh)
+        val, g, _, _ = self.eval(vh)
+        return vh, val, g, 0
+
+    def counted_descend(self, vh):
+        descended.append(self)
+        return descend(self, vh)
+
+    monkeypatch.setattr(spectrum._SphereSolver, "freeze_refine", stalled_refine)
+    monkeypatch.setattr(spectrum._SphereSolver, "descend", counted_descend)
+    pt = fucik.minimize_on_sphere(p, seed=0)
+    assert len(descended) >= 2
+    assert pt.residual <= p.tol_grad
+    assert abs(pt.m_value - expected.m_value) <= p.tol_m
+
+
+def test_trace_curve_sphere_evaluation_budget(monkeypatch):
+    # descent before refinement took 5,115 evaluations on this trace (833 now)
+    mesh = fucik.Mesh1D(-1.0, 1.0, 96)
+    basis = fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.5), mesh), k=1)
+    evaluate = spectrum._SphereSolver.eval
+    calls = []
+
+    def counted(self, vh):
+        calls.append(None)
+        return evaluate(self, vh)
+
+    monkeypatch.setattr(spectrum._SphereSolver, "eval", counted)
+    branch = fucik.trace_curve(basis, n_samples=5, seed=0)
+    assert len(branch.samples) == 5
+    assert len(calls) <= 2000
 
 
 # ---------------------------------------------------------------------------
