@@ -471,6 +471,8 @@ def _run_curve(cfg: RunConfig, prov: dict):
                 "beta": p.beta,
                 "m_residual": p.m_value,
                 "iters": p.iterations,
+                "root_solves": p.root_solves,
+                "careful": p.careful,
                 "gradient_residual": p.residual,
                 "beta_slope": p.beta_slope,
                 "minimizer": p.minimizer.coeffs,

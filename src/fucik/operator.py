@@ -21,8 +21,8 @@ dense result.  This is the P1 scheme with analytic exterior tails of Acosta
 and Borthagaray (SIAM J. Numer. Anal. 55, 2017).
 
 Eigen-decomposition is the dense generalized symmetric solve A c = lambda M c
-(Cholesky reduction of M inside LAPACK), producing an L2-orthonormal basis in
-which all later spectral computations are diagonal.
+(Cholesky reduction of M inside LAPACK, on one BLAS thread), producing an
+L2-orthonormal basis in which all later spectral computations are diagonal.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from .blas import single_threaded
 from .errors import (
     ConfigError,
     DegenerateSplit,
@@ -544,11 +545,14 @@ def _sample_rule(mesh: Mesh1D, vectors: np.ndarray):
     return _readonly(pts), _readonly(wts), _readonly(vals)
 
 
+@single_threaded()
 def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     """Dense generalized symmetric eigensolve with deterministic signs.
 
-    Raises FactorizationFailure when the mass matrix is not positive definite
-    or the returned basis misses its orthonormality certificates, and
+    Runs on one BLAS thread: at the sizes the CLI uses, numpy's and scipy's
+    OpenBLAS pools contend for the cores and slow the solve down.  Raises
+    FactorizationFailure when the mass matrix is not positive definite or
+    the returned basis misses its orthonormality certificates, and
     DegenerateSplit when lambda_k and lambda_{k+1} coincide to tolerance.
     """
     try:

@@ -9,7 +9,10 @@ lambda_k, so its partial maximizer over that subspace is unique and the
 reduced functional v -> J(maximizer(v) + v) is well defined on the high
 subspace.  Its minimum m(alpha, beta) over the L2-unit sphere of the high
 subspace is positive below the spectral curve and crosses zero exactly on it,
-which turns curve computation into one-dimensional root finding in beta.
+which turns curve computation into one-dimensional root finding in beta.  By
+the envelope theorem dm/dbeta = -1/2 ||u-||^2 at the minimizer's composite
+field u, so every sphere solve also returns the slope the root search steps
+along.
 
 Solvers: the partial maximization is a damped semismooth Newton method (the
 gradient is piecewise linear in the low coefficients).  The sphere minimum
@@ -28,7 +31,7 @@ constant) hold to machine precision because of this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -104,7 +107,8 @@ class FucikPoint:
     populated (maximizer + minimizer) only when m_value vanishes within
     tol_m, in which case it is a discrete eigenfunction of the asymmetric
     problem and must change sign.  alternates collects distinct multistart
-    minimizers whose values tie within tol_m.
+    minimizers whose values tie within tol_m.  beta_slope is dm/dbeta.
+    root_solves and careful are set on roots returned by beta_of_alpha.
     """
 
     alpha: float
@@ -116,6 +120,8 @@ class FucikPoint:
     residual: float = 0.0
     beta_slope: float = 0.0
     iterations: int = 0
+    root_solves: int = 0
+    careful: bool = False
 
     def __post_init__(self):
         k = self.minimizer.basis.k
@@ -602,11 +608,14 @@ def _m_eval(params: FucikParams, seed: int, warm: Field | None, careful: bool) -
         return minimize_on_sphere(params, seed=seed, warm=warm, multistart=True)
 
 
+_ROOT_ITERS = 64
+
+
 def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
     lam_k, lam_k1 = basis.lambda_k, basis.lambda_k1
     point_lo = minimize_on_sphere(FucikParams(alpha, lam_k1, basis), seed=seed)
     if abs(point_lo.m_value) <= tol_m:
-        return point_lo
+        return replace(point_lo, root_solves=1)
     if point_lo.m_value < 0.0:
         raise FucikError(
             f"m(alpha, lambda_k1) = {point_lo.m_value:.3e} < 0 contradicts the strip bound"
@@ -615,8 +624,10 @@ def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
     lo, m_lo, warm = lam_k1, point_lo.m_value, point_lo.minimizer
     hi = 2.0 * lam_k1 - lam_k
     beta_max = 50.0 * lam_k1
+    solves = 1
     while True:
         point_hi = _m_eval(FucikParams(alpha, hi, basis), seed, warm, careful)
+        solves += 1
         m_hi, warm = point_hi.m_value, point_hi.minimizer
         if m_hi <= 0.0:
             break
@@ -624,6 +635,7 @@ def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
         hi = lam_k1 + 2.0 * (hi - lam_k1)
         if hi > beta_max:
             point_cap = _m_eval(FucikParams(alpha, beta_max, basis), seed, warm, careful=True)
+            solves += 1
             if point_cap.m_value <= 0.0:
                 hi, m_hi = beta_max, point_cap.m_value
                 warm = point_cap.minimizer
@@ -634,45 +646,34 @@ def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
                 m_at_max=point_cap.m_value,
             )
 
+    # safeguarded Newton on the envelope slope dm/dbeta = beta_slope, from
+    # the best point so far; bisect when the slope is not negative, the step
+    # leaves the open bracket, or the last step did not halve |m|
     best = point_hi if abs(m_hi) < abs(m_lo) else point_lo
-    while hi - lo > tol_beta:
-        mid = 0.5 * (lo + hi)
-        point = _m_eval(FucikParams(alpha, mid, basis), seed, warm, careful)
-        warm = point.minimizer
-        if abs(point.m_value) < abs(best.m_value):
-            best = point
-        if point.m_value > 0.0:
-            lo, m_lo = mid, point.m_value
-        else:
-            hi, m_hi = mid, point.m_value
-
-    # secant polish inside the final bracket
-    b1, f1, b2, f2 = lo, m_lo, hi, m_hi
-    for _ in range(12):
-        if abs(best.m_value) <= tol_m:
-            break
-        if f2 == f1:
-            break
-        cand = b2 - f2 * (b2 - b1) / (f2 - f1)
-        if not (lo <= cand <= hi):
-            cand = 0.5 * (lo + hi)
+    last = math.inf
+    for _ in range(_ROOT_ITERS):
+        m, slope = best.m_value, best.beta_slope
+        if abs(m) <= tol_m and (hi - lo <= tol_beta or (slope < 0.0 and abs(m / slope) <= tol_beta)):
+            return replace(best, root_solves=solves)
+        cand = 0.5 * (lo + hi)
+        if slope < 0.0 and abs(m) <= 0.5 * last and lo < best.beta - m / slope < hi:
+            cand = best.beta - m / slope
+        last = abs(m)
         point = _m_eval(FucikParams(alpha, cand, basis), seed, warm, careful)
+        solves += 1
         warm = point.minimizer
         if abs(point.m_value) < abs(best.m_value):
             best = point
         if point.m_value > 0.0:
-            lo, m_lo = cand, point.m_value
+            lo = cand
         else:
-            hi, m_hi = cand, point.m_value
-        b1, f1, b2, f2 = b2, f2, cand, point.m_value
-
-    if abs(best.m_value) > tol_m:
-        raise MaxIterations(
-            f"secant polish left |m| = {abs(best.m_value):.3e} > tol_m = {tol_m:.3e}",
-            best=best,
-            residual=abs(best.m_value),
-        )
-    return best
+            hi = cand
+    raise MaxIterations(
+        f"root search left |m| = {abs(best.m_value):.3e} (tol_m = {tol_m:.3e}) "
+        f"in a bracket of width {hi - lo:.3e} after {_ROOT_ITERS} steps",
+        best=best,
+        residual=abs(best.m_value),
+    )
 
 
 def beta_of_alpha(
@@ -687,11 +688,16 @@ def beta_of_alpha(
     m is positive at beta = lambda_{k+1} and strictly decreasing in beta, so
     the root is bracketed by doubling expansion (capped at 50 lambda_{k+1},
     beyond which BracketExhausted reports the no-root outcome) and located by
-    bisection to tol_beta, then polished by secant to |m| <= tol_m.  Interior
+    Newton steps on the envelope slope beta_slope = dm/dbeta, safeguarded by
+    bisection inside the bracket, until |m| <= tol_m and either the bracket
+    or the Newton correction |m / slope| is at most tol_beta.  Interior
     evaluations run warm-started single solves; the located root is then
     re-certified by a full multistart solve, falling back to all-multistart
     root finding in the (rare) event the continuation tracked a non-global
-    minimum past the true root.
+    minimum past the true root.  The returned point's root_solves counts
+    the sphere solves of the whole search, the certifying one included (a
+    warm solve retried as a multistart counts once), and careful marks a
+    point found by the fallback.
     """
     if k is not None and k != basis.k:
         basis = basis.with_k(k)
@@ -705,9 +711,11 @@ def beta_of_alpha(
     final = minimize_on_sphere(
         FucikParams(alpha, best.beta, basis), seed=seed, warm=best.minimizer, multistart=True
     )
+    solves = best.root_solves + 1
     if abs(final.m_value) <= tol_m:
-        return final
-    return _locate_root(alpha, basis, tol_beta, tol_m, seed, careful=True)
+        return replace(final, root_solves=solves)
+    root = _locate_root(alpha, basis, tol_beta, tol_m, seed, careful=True)
+    return replace(root, root_solves=solves + root.root_solves, careful=True)
 
 
 def trace_curve(
@@ -769,16 +777,13 @@ def swap(obj):
     fields (positive and negative parts trade places under u -> -u).  The
     energy value is invariant under the exchange."""
     if isinstance(obj, FucikPoint):
-        return FucikPoint(
+        return replace(
+            obj,
             alpha=obj.beta,
             beta=obj.alpha,
-            m_value=obj.m_value,
             minimizer=_negate(obj.minimizer),
             eigenfunction=_negate(obj.eigenfunction),
             alternates=tuple(_negate(a) for a in obj.alternates),
-            residual=obj.residual,
-            beta_slope=obj.beta_slope,
-            iterations=obj.iterations,
         )
     if isinstance(obj, CurveBranch):
         swapped = tuple(swap(p) for p in reversed(obj.samples))

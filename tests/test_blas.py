@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 
 import fucik
 from fucik import blas, semilinear, spectrum
@@ -79,3 +80,28 @@ def test_missing_libraries_leave_the_scope_inert(monkeypatch):
     monkeypatch.setattr(blas, "_pools", None)
     with blas.single_threaded():
         assert blas._pools == []
+
+
+def test_eigensolve_runs_single_threaded(pools, monkeypatch):
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def recording(*args, **kwargs):
+        seen.append(tuple(_counts(pools)))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.5), fucik.Mesh1D(-1.0, 1.0, 24)), k=1)
+    assert seen == [(1,) * len(pools)]
+    assert _counts(pools) == [2] * len(pools)
+
+
+@pytest.mark.parametrize("kernel", ["local", "fractional:s=0.5"])
+def test_eigen_is_byte_identical_across_blas_thread_counts(pools, tmp_path, kernel):
+    args = ["--mode", "eigen", "--kernel", kernel, "--elements", "96"]
+    for threads in (1, 2):
+        for _, setter in pools:
+            setter(threads)
+        assert fucik.main(args + ["--out", str(tmp_path / str(threads))]) == 0
+    for name in ("eigenvalues.csv", "basis.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

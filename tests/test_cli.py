@@ -170,6 +170,10 @@ def test_curve_mode_artifacts(tmp_path):
     doc = json.loads((out / "curve.json").read_text())
     assert len(doc["samples"]) == len(rows)
     assert len(doc["samples"][0]["minimizer"]) == 47
+    for sample in doc["samples"]:
+        # at least the bracket's two ends and the multistart certification
+        assert isinstance(sample["root_solves"], int) and sample["root_solves"] >= 3
+        assert sample["careful"] is False
     svg = (out / "curve.svg").read_text()
     # curve + diagonal + the two first-eigenvalue lines
     assert svg.count("<polyline") == 4

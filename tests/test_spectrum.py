@@ -1,6 +1,7 @@
 """Tests for the variational curve machinery: partial maximization, reduced
 functional, sphere minimization, root finding, tracing, and symmetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -429,10 +430,15 @@ def test_sphere_start_falls_back_to_descent(local2, monkeypatch):
     assert abs(pt.m_value - expected.m_value) <= p.tol_m
 
 
-def test_trace_curve_sphere_evaluation_budget(monkeypatch):
-    # descent before refinement took 5,115 evaluations on this trace (833 now)
+@pytest.fixture(scope="module")
+def frac96():
     mesh = fucik.Mesh1D(-1.0, 1.0, 96)
-    basis = fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.5), mesh), k=1)
+    return fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.5), mesh), k=1)
+
+
+def test_trace_curve_sphere_evaluation_budget(frac96, monkeypatch):
+    # descent before refinement took 5,115 evaluations on this trace, the
+    # bisection-and-secant root search 833 (553 now)
     evaluate = spectrum._SphereSolver.eval
     calls = []
 
@@ -441,7 +447,7 @@ def test_trace_curve_sphere_evaluation_budget(monkeypatch):
         return evaluate(self, vh)
 
     monkeypatch.setattr(spectrum._SphereSolver, "eval", counted)
-    branch = fucik.trace_curve(basis, n_samples=5, seed=0)
+    branch = fucik.trace_curve(frac96, n_samples=5, seed=0)
     assert len(branch.samples) == 5
     assert len(calls) <= 2000
 
@@ -504,6 +510,206 @@ def test_beta_of_alpha_rejects_bad_tolerance(local1):
         fucik.beta_of_alpha(_alpha_at(local1, 0.5), local1, tol_beta=-1.0)
 
 
+def _reference_locate_root(alpha, basis, tol_beta, tol_m, seed):
+    """Earlier root search: bisection to tol_beta, then a secant polish."""
+    lam_k, lam_k1 = basis.lambda_k, basis.lambda_k1
+    point_lo = fucik.minimize_on_sphere(fucik.FucikParams(alpha, lam_k1, basis), seed=seed)
+    if abs(point_lo.m_value) <= tol_m:
+        return point_lo
+    lo, m_lo, warm = lam_k1, point_lo.m_value, point_lo.minimizer
+    hi = 2.0 * lam_k1 - lam_k
+    while True:
+        point_hi = spectrum._m_eval(fucik.FucikParams(alpha, hi, basis), seed, warm, False)
+        m_hi, warm = point_hi.m_value, point_hi.minimizer
+        if m_hi <= 0.0:
+            break
+        lo, m_lo = hi, m_hi
+        hi = lam_k1 + 2.0 * (hi - lam_k1)
+        assert hi <= 50.0 * lam_k1, "reference bracket passed the cap"
+    best = point_hi if abs(m_hi) < abs(m_lo) else point_lo
+    while hi - lo > tol_beta:
+        mid = 0.5 * (lo + hi)
+        point = spectrum._m_eval(fucik.FucikParams(alpha, mid, basis), seed, warm, False)
+        warm = point.minimizer
+        if abs(point.m_value) < abs(best.m_value):
+            best = point
+        if point.m_value > 0.0:
+            lo, m_lo = mid, point.m_value
+        else:
+            hi, m_hi = mid, point.m_value
+    b1, f1, b2, f2 = lo, m_lo, hi, m_hi
+    for _ in range(12):
+        if abs(best.m_value) <= tol_m or f2 == f1:
+            break
+        cand = b2 - f2 * (b2 - b1) / (f2 - f1)
+        if not (lo <= cand <= hi):
+            cand = 0.5 * (lo + hi)
+        point = spectrum._m_eval(fucik.FucikParams(alpha, cand, basis), seed, warm, False)
+        warm = point.minimizer
+        if abs(point.m_value) < abs(best.m_value):
+            best = point
+        if point.m_value > 0.0:
+            lo, m_lo = cand, point.m_value
+        else:
+            hi, m_hi = cand, point.m_value
+        b1, f1, b2, f2 = b2, f2, cand, point.m_value
+    assert abs(best.m_value) <= tol_m
+    return best
+
+
+def _chebyshev_alphas(basis, n):
+    """trace_curve's sample alphas, ascending."""
+    mid, half = 0.5 * (basis.lambda_k + basis.lambda_k1), 0.5 * (basis.lambda_k1 - basis.lambda_k)
+    return sorted(float(mid + half * math.cos(math.pi * (2 * j + 1) / (2 * n))) for j in range(n))
+
+
+def _tolerances(basis, alpha):
+    p = fucik.FucikParams(alpha, basis.lambda_k1, basis)
+    return p.tol_beta, p.tol_m
+
+
+@pytest.mark.parametrize(
+    "name, alpha_of",
+    [
+        ("frac1", lambda b: _chebyshev_alphas(b, 5)[0]),
+        ("frac1", lambda b: _alpha_at(b, 0.5)),
+        ("frac2", lambda b: _chebyshev_alphas(b, 5)[0]),
+        ("frac2", lambda b: _alpha_at(b, 0.7)),
+        ("local1", lambda b: _alpha_at(b, 0.5)),
+        ("local1", lambda b: _alpha_at(b, 0.85)),
+        ("local2", lambda b: _alpha_at(b, 0.5)),
+    ],
+)
+def test_locate_root_matches_bisection_secant_reference(name, alpha_of, request):
+    basis = request.getfixturevalue(name)
+    a = alpha_of(basis)
+    tol_beta, tol_m = _tolerances(basis, a)
+    expected = _reference_locate_root(a, basis, tol_beta, tol_m, seed=0)
+    got = spectrum._locate_root(a, basis, tol_beta, tol_m, 0, careful=False)
+    assert abs(got.m_value) <= tol_m
+    assert abs(got.beta - expected.beta) <= tol_beta
+    assert got.beta > basis.lambda_k1
+
+
+def test_rootless_alpha_ends_in_bracket_exhausted(local1):
+    # the lowest of five Chebyshev alphas sits so close to lambda_1 that the
+    # root lies beyond 50 lambda_2
+    a = _chebyshev_alphas(local1, 5)[0]
+    with pytest.raises(fucik.BracketExhausted):
+        fucik.beta_of_alpha(a, local1)
+
+
+def test_locate_root_bisects_without_a_negative_slope(frac1, monkeypatch):
+    # a slope that contradicts the envelope theorem must never be stepped
+    # along: every interior beta is then a midpoint of two earlier ones, and
+    # the root is still certified by tol_m
+    a = _alpha_at(frac1, 0.5)
+    tol_beta, tol_m = _tolerances(frac1, a)
+    expected = spectrum._locate_root(a, frac1, tol_beta, tol_m, 0, careful=False)
+    solve = spectrum.minimize_on_sphere
+    betas, ms = [], []
+
+    def positive_slope(params, *args, **kwargs):
+        point = solve(params, *args, **kwargs)
+        betas.append(params.beta)
+        ms.append(point.m_value)
+        return dataclasses.replace(point, beta_slope=1.0)
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", positive_slope)
+    got = fucik.beta_of_alpha(a, frac1)
+    assert abs(got.m_value) <= tol_m
+    assert abs(got.beta - expected.beta) <= tol_beta
+    bracket_end = next(i for i, b in enumerate(betas) if b > expected.beta)
+    interior = betas[bracket_end + 1 : -1]  # the last solve certifies
+    assert len(interior) >= 10
+    for i, b in enumerate(interior, start=bracket_end + 1):
+        earlier = betas[:i]
+        assert any(b == 0.5 * (x + y) for x in earlier for y in earlier)
+    # without a usable slope only the bracket can bound the error in beta
+    lo = max(b for b, m in zip(betas, ms) if m > 0.0)
+    hi = min(b for b, m in zip(betas, ms) if m <= 0.0)
+    assert hi - lo <= tol_beta
+
+
+def test_locate_root_bisects_when_newton_oscillates(local1, monkeypatch):
+    # on m(beta) = -c sign(x) |x|^0.55, x = beta - r, a Newton step maps x
+    # to -0.82 x: every step stays inside the bracket and unguarded Newton
+    # spends the iteration cap; the halving test turns the slow steps into
+    # bisections
+    a = _alpha_at(local1, 0.5)
+    tol_beta, tol_m = _tolerances(local1, a)
+    template = fucik.minimize_on_sphere(fucik.FucikParams(a, local1.lambda_k1, local1))
+    r = local1.lambda_k1 + 0.37 * (local1.lambda_k1 - local1.lambda_k)
+    calls = []
+
+    def synthetic(params, seed=0, warm=None, multistart=True):
+        calls.append(None)
+        x = params.beta - r
+        m = -1e-4 * math.copysign(abs(x) ** 0.55, x)
+        slope = -0.55e-4 * abs(x) ** -0.45 if x else -math.inf
+        return dataclasses.replace(template, beta=params.beta, m_value=m, beta_slope=slope, eigenfunction=None)
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", synthetic)
+    got = spectrum._locate_root(a, local1, tol_beta, tol_m, 0, careful=False)
+    assert abs(got.m_value) <= tol_m
+    assert abs(got.beta - r) <= tol_beta
+    assert got.root_solves == len(calls) <= 25
+
+
+def test_root_search_solve_budget(frac96, monkeypatch):
+    # bisection to tol_beta plus the secant polish took 23-35 solves per root
+    solve = spectrum.minimize_on_sphere
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", counted)
+    for a in _chebyshev_alphas(frac96, 5):
+        calls.clear()
+        pt = fucik.beta_of_alpha(a, frac96, seed=3)
+        assert len(calls) <= 15
+        assert pt.root_solves == len(calls)
+        assert not pt.careful
+
+
+def test_careful_reroot_is_flagged_and_counted(frac1, monkeypatch):
+    # a certifying solve that misses tol_m sends beta_of_alpha into the
+    # all-multistart re-root; the returned point says so and counts both
+    a = _alpha_at(frac1, 0.5)
+    solve = spectrum.minimize_on_sphere
+    calls = []
+
+    def failing_certificate(params, seed=0, warm=None, multistart=True):
+        calls.append(multistart)
+        point = solve(params, seed=seed, warm=warm, multistart=multistart)
+        if multistart and warm is not None and calls.count(True) == 2:
+            return dataclasses.replace(point, m_value=1.0, eigenfunction=None)
+        return point
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", failing_certificate)
+    pt = fucik.beta_of_alpha(a, frac1)
+    assert pt.careful
+    assert pt.root_solves == len(calls)
+    assert abs(pt.m_value) <= _tolerances(frac1, a)[1]
+
+
+@pytest.mark.parametrize("name", ["local1", "frac1"])
+def test_beta_slope_is_the_envelope_derivative(name, request):
+    basis = request.getfixturevalue(name)
+    a = _alpha_at(basis, 0.5)
+    pt = fucik.beta_of_alpha(a, basis)
+    h = 1e-3 * basis.lambda_k1
+
+    def m(beta):
+        return fucik.minimize_on_sphere(fucik.FucikParams(a, beta, basis), warm=pt.minimizer).m_value
+
+    central = (m(pt.beta + h) - m(pt.beta - h)) / (2.0 * h)
+    assert pt.beta_slope < 0.0
+    assert abs(pt.beta_slope - central) <= 1e-3 * abs(central)
+
+
 # ---------------------------------------------------------------------------
 # curve tracing and symmetry
 
@@ -545,6 +751,15 @@ def test_swap_point_residual_identity(branch5, local1):
     r1 = fucik.eigen_residual(local1, pt.alpha, pt.beta, pt.eigenfunction)
     r2 = fucik.eigen_residual(local1, sw.alpha, sw.beta, sw.eigenfunction)
     assert abs(r1 - r2) <= 1e-15
+
+
+def test_swap_copies_root_diagnostics(branch5):
+    pt = branch5.samples[0]
+    assert pt.root_solves >= 3 and not pt.careful
+    sw = fucik.swap(pt)
+    assert (sw.root_solves, sw.careful) == (pt.root_solves, pt.careful)
+    flagged = fucik.swap(dataclasses.replace(pt, careful=True))
+    assert flagged.careful
 
 
 def test_swap_diagonal_point_fixed(local1):
