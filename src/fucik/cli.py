@@ -19,9 +19,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +30,7 @@ from .operator import (
     EigenBasis,
     Kernel,
     Mesh1D,
+    _write_atomic,
     assemble,
     basis_document,
     eigenpairs,
@@ -246,23 +245,6 @@ def _json_document(doc: dict) -> str:
         parts.append(",")
     parts[-1] = "\n}\n"
     return "".join(parts)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a uniquely named temp file in the target directory."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            # mkstemp creates the file owner-only; give it the mode open() would
-            mask = os.umask(0)
-            os.umask(mask)
-            os.fchmod(f.fileno(), 0o666 & ~mask)
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

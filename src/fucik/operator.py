@@ -31,7 +31,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -462,21 +464,26 @@ class EigenBasis:
 
     vectors[:, j] holds interior nodal values of the j-th eigenfunction;
     columns are M-orthonormal, eigenvalues ascend.  The first k columns span
-    the "low" subspace used by the variational layer.  sample_* arrays hold
-    the shared per-element Simpson rule: points, weights, and eigenfunction
-    values at the points.
+    the "low" subspace used by the variational layer.
+
+    Every nonlinear quadrature in the package uses the shared per-element
+    Simpson rule: sample_points and sample_weights (5 per element), and
+    sample_values, the eigenfunction values at the points (5n x N), which is
+    built on first read and shared with the with_k copies.  The other
+    modules go through four methods, where modes selects eigenfunction
+    columns (all by default): sample (field values from coefficients),
+    gather (weighted pairings of sampled values with the eigenfunctions),
+    integrate (the weighted sum) and gram (the weighted Gram matrix).
     """
 
     operator: GalerkinOperator
     eigenvalues: np.ndarray
     vectors: np.ndarray
     k: int
-    sample_points: np.ndarray = field(repr=False, default=None)
-    sample_weights: np.ndarray = field(repr=False, default=None)
-    sample_values: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        n = self.operator.mesh.interior_dim
+        mesh = self.operator.mesh
+        n = mesh.interior_dim
         if not 1 <= self.k < n:
             raise ConfigError(f"split index k={self.k} outside [1, {n - 1}]")
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -488,15 +495,16 @@ class EigenBasis:
             )
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "vectors", _readonly(self.vectors))
-        if self.sample_points is None:
-            pts, wts, vals = _sample_rule(self.operator.mesh, self.vectors)
-            object.__setattr__(self, "sample_points", pts)
-            object.__setattr__(self, "sample_weights", wts)
-            object.__setattr__(self, "sample_values", vals)
-        else:
-            object.__setattr__(self, "sample_points", _readonly(self.sample_points))
-            object.__setattr__(self, "sample_weights", _readonly(self.sample_weights))
-            object.__setattr__(self, "sample_values", _readonly(self.sample_values))
+        pts = mesh.nodes[:-1, None] + mesh.h * _SIMPSON_OFFSETS[None, :]
+        object.__setattr__(self, "sample_points", _readonly(pts.reshape(-1)))
+        object.__setattr__(self, "sample_weights", _readonly(np.tile(mesh.h * _SIMPSON_WEIGHTS, mesh.n_elements)))
+        object.__setattr__(self, "_table", [])  # holds sample_values once built
+
+    @property
+    def sample_values(self) -> np.ndarray:
+        if not self._table:
+            self._table.append(_sample_values(self.operator.mesh, self.vectors))
+        return self._table[0]
 
     @property
     def dim(self) -> int:
@@ -511,16 +519,30 @@ class EigenBasis:
         return float(self.eigenvalues[self.k])
 
     def with_k(self, k: int) -> "EigenBasis":
-        """Same decomposition, different split index."""
-        return EigenBasis(
-            operator=self.operator,
-            eigenvalues=self.eigenvalues,
-            vectors=self.vectors,
-            k=k,
-            sample_points=self.sample_points,
-            sample_weights=self.sample_weights,
-            sample_values=self.sample_values,
-        )
+        """Same decomposition and sample table, different split index."""
+        other = replace(self, k=k)
+        object.__setattr__(other, "_table", self._table)
+        return other
+
+    def sample(self, coeffs: np.ndarray, modes=slice(None)) -> np.ndarray:
+        """Values at the sample points of the field with these coefficients."""
+        return self.sample_values[:, modes] @ coeffs
+
+    def gather(self, values: np.ndarray, modes=slice(None)) -> np.ndarray:
+        """Integrals of the sampled values against each eigenfunction."""
+        return self.sample_values[:, modes].T @ (self.sample_weights * values)
+
+    def integrate(self, values: np.ndarray) -> float:
+        return float(self.sample_weights @ values)
+
+    def gram(self, values: np.ndarray, modes=slice(None)) -> np.ndarray:
+        """Integrals of values * phi_i * phi_j; a boolean mask takes the
+        cheaper factored product of the masked, weighted rows."""
+        s = self.sample_values[:, modes]
+        if values.dtype == bool:
+            r = s * np.sqrt(self.sample_weights * values)[:, None]
+            return r.T @ r
+        return s.T @ ((self.sample_weights * values)[:, None] * s)
 
     def coeffs_from_nodal(self, nodal: np.ndarray) -> np.ndarray:
         return self.vectors.T @ (self.operator.mass @ nodal)
@@ -529,20 +551,16 @@ class EigenBasis:
         return self.vectors @ coeffs
 
 
-def _sample_rule(mesh: Mesh1D, vectors: np.ndarray):
-    """5-point-per-element Simpson grid and eigenfunction samples."""
-    n, h = mesh.n_elements, mesh.h
-    nodes = mesh.nodes
-    N = mesh.interior_dim
+def _sample_values(mesh: Mesh1D, vectors: np.ndarray) -> np.ndarray:
+    """Eigenfunction values on the 5-point-per-element Simpson grid."""
+    n, N = mesh.n_elements, mesh.interior_dim
     full = np.zeros((n + 1, N))
     full[1:-1, :] = vectors
     xi = _SIMPSON_OFFSETS
-    pts = (nodes[:-1, None] + h * xi[None, :]).reshape(-1)
-    wts = np.tile(h * _SIMPSON_WEIGHTS, n)
     vals = ((1.0 - xi)[None, :, None] * full[:-1, None, :] + xi[None, :, None] * full[1:, None, :]).reshape(
         -1, N
     )
-    return _readonly(pts), _readonly(wts), _readonly(vals)
+    return _readonly(vals)
 
 
 @single_threaded()
@@ -611,10 +629,10 @@ class Field:
     def norm_energy(self) -> float:
         return float(math.sqrt(max(0.0, float(self.basis.eigenvalues @ self.coeffs**2))))
 
-    @property
+    @cached_property
     def samples(self) -> np.ndarray:
         """Values on the shared per-element Simpson grid."""
-        return self.basis.sample_values @ self.coeffs
+        return _readonly(self.basis.sample(self.coeffs))
 
 
 def to_field(basis: EigenBasis, coeffs: np.ndarray | None = None, nodal: np.ndarray | None = None) -> Field:
@@ -666,17 +684,25 @@ def basis_document(basis: EigenBasis) -> dict:
     }
 
 
-def save_basis(basis: EigenBasis, path: str) -> None:
-    doc = basis_document(basis)
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a uniquely named temp file in the target directory."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(tmp_fd, "w") as f:
-            json.dump(doc, f)
-        os.replace(tmp_path, path)
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            # mkstemp creates the file owner-only; give it the mode open() would
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(f.fileno(), 0o666 & ~mask)
+            f.write(text)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
+
+
+def save_basis(basis: EigenBasis, path: str) -> None:
+    _write_atomic(Path(os.path.abspath(path)), json.dumps(basis_document(basis)))
 
 
 def load_basis(path: str, k: int = 1) -> EigenBasis:

@@ -110,10 +110,9 @@ def classical_curve(k: int, alpha_grid) -> list[ShootingResult]:
 
 
 def _energy(basis, alpha: float, beta: float, coeffs: np.ndarray) -> float:
-    u = basis.sample_values @ coeffs
-    w = basis.sample_weights
-    q_pos = float(w @ np.clip(u, 0.0, None) ** 2)
-    q_neg = float(w @ np.clip(-u, 0.0, None) ** 2)
+    u = basis.sample(coeffs)
+    q_pos = basis.integrate(np.clip(u, 0.0, None) ** 2)
+    q_neg = basis.integrate(np.clip(-u, 0.0, None) ** 2)
     return 0.5 * (float(basis.eigenvalues @ coeffs**2) - alpha * q_pos - beta * q_neg)
 
 

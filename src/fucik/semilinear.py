@@ -44,11 +44,11 @@ from .operator import CheckReport, ConditionCheck, EigenBasis, Field, to_field
 from .spectrum import (
     FucikParams,
     FucikPoint,
+    _energy_arrays,
     _gradient_arrays,
     _maximize_t,
     _negate,
     beta_of_alpha,
-    fucik_energy,
     maximize_low,
     minimize_on_sphere,
 )
@@ -420,30 +420,34 @@ def build_problem(
 # energy, gradient, residuals
 
 
-def _forcing_integral(problem: SemilinearProblem, coeffs: np.ndarray) -> float:
-    basis = problem.params.basis
-    u_s = basis.sample_values @ coeffs
+# E and its gradient at coeffs, whose field takes the values u_s on the
+# basis's sample grid: one sample product serves both
+
+
+def _forcing_integral(problem: SemilinearProblem, u_s: np.ndarray) -> float:
     integrand = problem.nonlinearity.primitive(u_s) + problem.h.samples * u_s
-    return float(basis.sample_weights @ integrand)
+    return problem.params.basis.integrate(integrand)
+
+
+def _semilinear_value(problem: SemilinearProblem, coeffs: np.ndarray, u_s: np.ndarray) -> float:
+    p = problem.params
+    return _energy_arrays(p.basis, p.alpha, p.beta, coeffs, u_s) - _forcing_integral(problem, u_s)
+
+
+def _semilinear_gradient_coeffs(problem: SemilinearProblem, coeffs: np.ndarray, u_s: np.ndarray) -> np.ndarray:
+    p = problem.params
+    g = _gradient_arrays(p.basis, p.alpha, p.beta, coeffs, u_s)
+    return g - p.basis.gather(problem.nonlinearity.evaluate(u_s)) - problem.h.coeffs
 
 
 def semilinear_energy(problem: SemilinearProblem, u: Field) -> float:
     """E(u) = J(u) - integral of (F(u) + h u), all on the shared quadrature."""
-    return fucik_energy(problem.params, u) - _forcing_integral(problem, u.coeffs)
-
-
-def _semilinear_gradient_coeffs(problem: SemilinearProblem, coeffs: np.ndarray) -> np.ndarray:
-    p = problem.params
-    basis = p.basis
-    g = _gradient_arrays(basis, p.alpha, p.beta, coeffs)
-    u_s = basis.sample_values @ coeffs
-    f_rep = basis.sample_values.T @ (basis.sample_weights * problem.nonlinearity.evaluate(u_s))
-    return g - f_rep - problem.h.coeffs
+    return _semilinear_value(problem, u.coeffs, u.samples)
 
 
 def semilinear_gradient(problem: SemilinearProblem, u: Field) -> Field:
     """L2 gradient of E at u in eigenbasis coefficients."""
-    return to_field(problem.params.basis, coeffs=_semilinear_gradient_coeffs(problem, u.coeffs))
+    return to_field(problem.params.basis, coeffs=_semilinear_gradient_coeffs(problem, u.coeffs, u.samples))
 
 
 @dataclass(frozen=True)
@@ -460,8 +464,7 @@ def residual_report(problem: SemilinearProblem, u: Field) -> ResidualReport:
     By M-orthonormality of the basis these are exactly the gradient
     coefficients, so the table doubles as a per-mode residual map.
     """
-    g = _semilinear_gradient_coeffs(problem, u.coeffs)
-    g = g.copy()
+    g = _semilinear_gradient_coeffs(problem, u.coeffs, u.samples)
     g.flags.writeable = False
     return ResidualReport(max_abs=float(np.max(np.abs(g))), per_mode=g)
 
@@ -489,21 +492,17 @@ class GLLReport:
     eigenset_size: int
 
 
-def _ray_functional(problem: SemilinearProblem, v: Field) -> float:
-    basis = problem.params.basis
-    nl = problem.nonlinearity
+def _one_sided_integrals(v: Field) -> tuple[float, float]:
+    """Integrals of v+ and v-."""
     s = v.samples
-    w = basis.sample_weights
-    pos = float(w @ np.clip(s, 0.0, None))
-    neg = float(w @ np.clip(-s, 0.0, None))
-    return nl.limit_right * pos - nl.limit_left * neg + float(problem.h.coeffs @ v.coeffs)
+    return v.basis.integrate(np.clip(s, 0.0, None)), v.basis.integrate(np.clip(-s, 0.0, None))
 
 
 def _ray_slope(problem: SemilinearProblem, v: Field) -> float:
     # secant of t -> integral of F(t v) + t h v between the two largest
     # probes; the secant cancels the bounded offset integral of F - (ray part)
     def phi(t):
-        return _forcing_integral(problem, t * v.coeffs)
+        return _forcing_integral(problem, v.basis.sample(t * v.coeffs))
 
     t1, t2 = 1e3, 1e4
     return (phi(t2) - phi(t1)) / (t2 - t1)
@@ -534,7 +533,9 @@ def check_gll(problem: SemilinearProblem, eigenset: tuple | None = None) -> GLLR
     if diagonal:
         rays.extend(_negate(v) for v in members)
 
-    values = tuple(_ray_functional(problem, v) for v in rays)
+    sides = [_one_sided_integrals(v) for v in rays]
+    h_dots = [float(problem.h.coeffs @ v.coeffs) for v in rays]
+    values = tuple(nl.limit_right * pos - nl.limit_left * neg + hv for (pos, neg), hv in zip(sides, h_dots))
     slopes = tuple(_ray_slope(problem, v) for v in rays)
     scale = 1e-9 * (1.0 + nl.bound + problem.h.norm_l2)
     consistent = all(abs(s - r) <= 0.02 * abs(r) + scale for s, r in zip(slopes, values))
@@ -542,14 +543,8 @@ def check_gll(problem: SemilinearProblem, eigenset: tuple | None = None) -> GLLR
 
     window = None
     if diagonal:
-        v = members[0]
-        s = v.samples
-        w = problem.params.basis.sample_weights
-        pos = float(w @ np.clip(s, 0.0, None))
-        neg = float(w @ np.clip(-s, 0.0, None))
-        lower = nl.limit_right * neg - nl.limit_left * pos
-        upper = nl.limit_left * neg - nl.limit_right * pos
-        window = (lower, float(problem.h.coeffs @ v.coeffs), upper)
+        (pos, neg), hv = sides[0], h_dots[0]  # members[0] is rays[0]
+        window = (nl.limit_right * neg - nl.limit_left * pos, hv, nl.limit_left * neg - nl.limit_right * pos)
 
     return GLLReport(
         satisfied=satisfied,
@@ -595,7 +590,7 @@ def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.nda
     concavity ratio along accepted iterate pairs (positive = still concave).
     """
     forcing = (problem.nonlinearity, problem.h)
-    v_samples = problem.params.basis.sample_values @ v_coeffs
+    v_samples = problem.params.basis.sample(v_coeffs)
     return _maximize_t(problem.params, v_samples, t0, forcing=forcing, tol=tol)
 
 
@@ -707,10 +702,11 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         v_full = composite(v_high, np.zeros(k))
         t_new, _, _, deff = _maximize_low_E(problem, v_full, warm_t, inner_tol)
         c = composite(v_high, t_new)
-        val = semilinear_energy(problem, to_field(basis, coeffs=c))
-        return val, _semilinear_gradient_coeffs(problem, c), t_new, c, deff
+        u_s = basis.sample(c)
+        val = _semilinear_value(problem, c, u_s)
+        return val, _semilinear_gradient_coeffs(problem, c, u_s), t_new, c, u_s, deff
 
-    val, g_full, t_warm, c_cur, deff = reduced_eval(v, t_warm)
+    val, g_full, t_warm, c_cur, u_cur, deff = reduced_eval(v, t_warm)
     g = g_full[k:]
     delta_eff = min(delta_eff, deff)
     eta = 1.0
@@ -749,7 +745,7 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         accepted = False
         for _ in range(30):
             v_new = v - step * d
-            val_new, g_full_new, t_new, c_new, deff = reduced_eval(v_new, t_warm)
+            val_new, g_full_new, t_new, c_new, u_new, deff = reduced_eval(v_new, t_warm)
             g_new = g_full_new[k:]
             if val_new < val - max(1e-4 * step * slope, floor) or float(np.linalg.norm(g_new)) <= 0.5 * gn:
                 accepted = True
@@ -759,24 +755,21 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         if not accepted:
             break
         prev_v, prev_g = v, g
-        v, val, g, g_full, t_warm, c_cur = v_new, val_new, g_new, g_full_new, t_new, c_new
+        v, val, g, g_full, t_warm, c_cur, u_cur = v_new, val_new, g_new, g_full_new, t_new, c_new, u_new
         delta_eff = min(delta_eff, deff)
     diagnostics["delta_eff"] = delta_eff
 
     # phase 2: full-space Newton on the gradient with lstsq fallback; the
     # internal target sits well below tol_res because the quadratic tail of
     # Newton is nearly free and linear problems then come out machine-exact
-    c = c_cur.copy()
+    c, u_s = c_cur, u_cur
     res = float(np.linalg.norm(g_full))
-    s = basis.sample_values
-    w = basis.sample_weights
     newton_target = 1e-4 * tol_res
     for _ in range(_NEWTON_ITERS):
         if res <= newton_target:
             break
-        u_s = s @ c
         sel = np.where(u_s > 0.0, p.alpha, p.beta) + nl.derivative(u_s)
-        hess = np.diag(lam) - s.T @ ((w * sel)[:, None] * s)
+        hess = np.diag(lam) - basis.gram(sel)
         try:
             step = scipy.linalg.solve(hess, -g_full, check_finite=False)
         except scipy.linalg.LinAlgError:
@@ -787,7 +780,8 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         accepted = False
         while theta > 1e-12:
             c_new = c + theta * step
-            g_new = _semilinear_gradient_coeffs(problem, c_new)
+            u_new = basis.sample(c_new)
+            g_new = _semilinear_gradient_coeffs(problem, c_new, u_new)
             res_new = float(np.linalg.norm(g_new))
             if res_new <= (1.0 - 0.1 * theta) * res:
                 accepted = True
@@ -795,12 +789,13 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
             theta *= 0.5
         if not accepted:
             break
-        c, g_full, res = c_new, g_new, res_new
+        c, g_full, res, u_s = c_new, g_new, res_new, u_new
+        val = _semilinear_value(problem, c, u_s)
         iterations += 1
-        trace.append((semilinear_energy(problem, to_field(basis, coeffs=c)), res))
+        trace.append((val, res))
 
     u_star = to_field(basis, coeffs=c)
-    energy_val = semilinear_energy(problem, u_star)
+    energy_val = val
     if res > tol_res:
         return SaddleResult(
             u_star=u_star,

@@ -177,28 +177,30 @@ def _neg(x):
     return np.maximum(-x, 0.0)
 
 
-def _energy_arrays(basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray) -> float:
-    samples = basis.sample_values @ coeffs
-    w = basis.sample_weights
+# J and its gradient at coeffs, whose field takes the values samples on the
+# basis's sample grid
+
+
+def _energy_arrays(basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray, samples: np.ndarray) -> float:
     quad = float(basis.eigenvalues @ coeffs**2)
-    return 0.5 * (quad - alpha * float(w @ _pos(samples) ** 2) - beta * float(w @ _neg(samples) ** 2))
+    return 0.5 * (quad - alpha * basis.integrate(_pos(samples) ** 2) - beta * basis.integrate(_neg(samples) ** 2))
 
 
-def _gradient_arrays(basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray) -> np.ndarray:
-    samples = basis.sample_values @ coeffs
-    w = basis.sample_weights
-    rep = basis.sample_values.T @ (w * (alpha * _pos(samples) - beta * _neg(samples)))
-    return basis.eigenvalues * coeffs - rep
+def _gradient_arrays(
+    basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray, samples: np.ndarray
+) -> np.ndarray:
+    return basis.eigenvalues * coeffs - basis.gather(alpha * _pos(samples) - beta * _neg(samples))
 
 
 def fucik_energy(params: FucikParams, u: Field) -> float:
     """J(u) with the sampled Simpson quadrature of the one-sided squares."""
-    return _energy_arrays(params.basis, params.alpha, params.beta, u.coeffs)
+    return _energy_arrays(params.basis, params.alpha, params.beta, u.coeffs, u.samples)
 
 
 def fucik_gradient(params: FucikParams, u: Field) -> Field:
     """L2 gradient of J at u, in eigenbasis coefficients."""
-    return to_field(params.basis, coeffs=_gradient_arrays(params.basis, params.alpha, params.beta, u.coeffs))
+    g = _gradient_arrays(params.basis, params.alpha, params.beta, u.coeffs, u.samples)
+    return to_field(params.basis, coeffs=g)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +228,21 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
     """
     basis, alpha, beta = params.basis, params.alpha, params.beta
     k = params.k
-    lam1 = basis.eigenvalues[:k]
-    s1 = basis.sample_values[:, :k]
-    w = basis.sample_weights
+    lam1, low = basis.eigenvalues[:k], slice(k)
     nl, bound = None, 0.0
     if forcing is not None:
         nl, h_field = forcing
         bound, h_low, h_samples = nl.bound, h_field.coeffs[:k], h_field.samples
 
     def value_grad(t):
-        u = v_samples + s1 @ t
+        u = v_samples + basis.sample(t, low)
         up, un = _pos(u), _neg(u)
-        val = 0.5 * (float(lam1 @ t**2) - alpha * float(w @ up**2) - beta * float(w @ un**2))
+        val = 0.5 * (float(lam1 @ t**2) - alpha * basis.integrate(up**2) - beta * basis.integrate(un**2))
         rep = alpha * up - beta * un
         if nl is None:
-            return val, lam1 * t - s1.T @ (w * rep), u
-        val = val - float(w @ nl.primitive(u)) - float(w @ (h_samples * u))
-        grad = lam1 * t - s1.T @ (w * (rep + nl.evaluate(u))) - h_low
+            return val, lam1 * t - basis.gather(rep, low), u
+        val = val - basis.integrate(nl.primitive(u)) - basis.integrate(h_samples * u)
+        grad = lam1 * t - basis.gather(rep + nl.evaluate(u), low) - h_low
         return val, grad, u
 
     t = np.asarray(t0, dtype=float).copy()
@@ -259,7 +259,7 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
         sel = np.where(u > 0.0, alpha, beta)
         if nl is not None:
             sel = sel + nl.derivative(u)
-        h = np.diag(lam1) - s1.T @ ((w * sel)[:, None] * s1)
+        h = np.diag(lam1) - basis.gram(sel, low)
         try:
             factor = scipy.linalg.cho_factor(-h, check_finite=False)
             step = scipy.linalg.cho_solve(factor, grad, check_finite=False)
@@ -326,13 +326,13 @@ def _check_concavity(params: FucikParams, v: Field, t1: np.ndarray, t2: np.ndarr
     energy_sq = float(basis.eigenvalues[:k] @ dt**2)
     if energy_sq == 0.0:
         return
-    c1 = np.zeros(basis.dim)
-    c1[:k] = t1
-    c2 = np.zeros(basis.dim)
-    c2[:k] = t2
-    g1 = _gradient_arrays(basis, params.alpha, params.beta, c1 + v.coeffs)
-    g2 = _gradient_arrays(basis, params.alpha, params.beta, c2 + v.coeffs)
-    lhs = float((g2 - g1)[:k] @ dt)
+
+    def gradient(t):
+        c = v.coeffs.copy()
+        c[:k] += t
+        return _gradient_arrays(basis, params.alpha, params.beta, c, basis.sample(c))
+
+    lhs = float((gradient(t2) - gradient(t1))[:k] @ dt)
     slack = 1e-6 * (1.0 + energy_sq) * (1.0 + params.beta)
     if lhs > -params.delta * energy_sq + slack:
         raise FucikError(
@@ -342,8 +342,8 @@ def _check_concavity(params: FucikParams, v: Field, t1: np.ndarray, t2: np.ndarr
 
 def reduced_energy(params: FucikParams, v: Field) -> float:
     """J evaluated at maximize_low(v) + v."""
-    top = maximize_low(params, v)
-    return _energy_arrays(params.basis, params.alpha, params.beta, top.coeffs + v.coeffs)
+    c = maximize_low(params, v).coeffs + v.coeffs
+    return _energy_arrays(params.basis, params.alpha, params.beta, c, params.basis.sample(c))
 
 
 def reduced_gradient(params: FucikParams, v: Field) -> Field:
@@ -352,8 +352,8 @@ def reduced_gradient(params: FucikParams, v: Field) -> Field:
     The low component of the gradient vanishes at the maximizer, so this is
     the full derivative of the reduced functional.
     """
-    top = maximize_low(params, v)
-    g = _gradient_arrays(params.basis, params.alpha, params.beta, top.coeffs + v.coeffs)
+    c = maximize_low(params, v).coeffs + v.coeffs
+    g = _gradient_arrays(params.basis, params.alpha, params.beta, c, params.basis.sample(c))
     g[: params.k] = 0.0
     return to_field(params.basis, coeffs=g)
 
@@ -374,24 +374,22 @@ class _SphereSolver:
         self.basis = params.basis
         self.k = params.k
         self.lam = self.basis.eigenvalues
-        self.s = self.basis.sample_values
-        self.w = self.basis.sample_weights
+        self.low, self.high = slice(self.k), slice(self.k, None)
         self.t_warm = np.zeros(self.k)
 
     def eval(self, vh: np.ndarray):
         """Reduced value, tangential gradient, full coefficients and composite
         samples at unit vh: one sample product and one gather."""
-        p, k = self.params, self.k
-        coeffs = np.zeros(self.basis.dim)
+        p, k, basis = self.params, self.k, self.basis
+        coeffs = np.zeros(basis.dim)
         coeffs[k:] = vh
-        v_samples = self.s[:, k:] @ vh
+        v_samples = basis.sample(vh, self.high)
         t = _maximize_t(p, v_samples, self.t_warm)[0]
         self.t_warm = t
         coeffs[:k] = t
-        u = v_samples + self.s[:, :k] @ t
-        up, un = _pos(u), _neg(u)
-        val = 0.5 * (float(self.lam @ coeffs**2) - p.alpha * float(self.w @ up**2) - p.beta * float(self.w @ un**2))
-        grad = self.lam[k:] * vh - self.s[:, k:].T @ (self.w * (p.alpha * up - p.beta * un))
+        u = v_samples + basis.sample(t, self.low)
+        val = _energy_arrays(basis, p.alpha, p.beta, coeffs, u)
+        grad = self.lam[k:] * vh - basis.gather(p.alpha * _pos(u) - p.beta * _neg(u), self.high)
         tangential = grad - (2.0 * val) * vh
         return val, tangential, coeffs, u
 
@@ -449,10 +447,7 @@ class _SphereSolver:
         pattern = u > 0.0
         used = 0
         for _ in range(_FREEZE_ITERS):
-            neg_w = self.w * (~pattern)
-            sneg = self.s * np.sqrt(neg_w)[:, None]
-            b = sneg.T @ sneg
-            h = -(p.beta - p.alpha) * b
+            h = -(p.beta - p.alpha) * self.basis.gram(~pattern)
             h[np.diag_indices_from(h)] += self.lam - p.alpha
             h11 = h[:k, :k]
             h12 = h[:k, k:]
@@ -551,7 +546,7 @@ def minimize_on_sphere(
 
     def beta_slope(u):
         # dJ~/dbeta = -1/2 ||negative part of the composite field||^2
-        return -0.5 * float(basis.sample_weights @ _neg(u) ** 2)
+        return -0.5 * basis.integrate(_neg(u) ** 2)
 
     keyed = tied
     if len(tied) > 1:
@@ -806,4 +801,4 @@ def eigen_residual(basis: EigenBasis, alpha: float, beta: float, w: Field) -> fl
     Works for either ordering of the parameters, so swapped points can be
     checked directly.
     """
-    return float(np.linalg.norm(_gradient_arrays(basis, alpha, beta, w.coeffs)))
+    return float(np.linalg.norm(_gradient_arrays(basis, alpha, beta, w.coeffs, w.samples)))

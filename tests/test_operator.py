@@ -1,8 +1,12 @@
 """Assembly, kernel validation, eigen-decomposition, and field plumbing."""
 
+import ast
 import json
 import math
+import os
+import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,9 +343,6 @@ def test_degenerate_split_detected(frac32):
             eigenvalues=lam,
             vectors=frac32.vectors,
             k=2,
-            sample_points=frac32.sample_points,
-            sample_weights=frac32.sample_weights,
-            sample_values=frac32.sample_values,
         )
 
 
@@ -456,6 +457,56 @@ def test_sample_grid_shape(frac32):
     assert abs(float(np.sum(frac32.sample_weights)) - length) <= 1e-12 * length
 
 
+def test_sample_table_built_on_first_read(tmp_path):
+    basis = _fractional_basis(16, k=2)
+    fucik.basis_document(basis)
+    path = tmp_path / "basis.json"
+    fucik.save_basis(basis, str(path))
+    loaded = fucik.load_basis(str(path), k=2)
+    assert not basis._table and not loaded._table
+    table = loaded.with_k(1).sample_values
+    assert loaded.sample_values is table
+    assert loaded.with_k(3).sample_values is table
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("part", ["full", "low", "high"])
+def test_sample_methods_are_the_table_expressions(frac32, part):
+    basis = frac32.with_k(3)
+    modes = {"full": slice(None), "low": slice(3), "high": slice(3, None)}[part]
+    table, w = basis.sample_values, basis.sample_weights
+    s = table if part == "full" else table[:, modes]
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal(s.shape[1])
+    values = rng.standard_normal(w.shape[0])
+    mask = values > 0.0
+    assert np.array_equal(basis.sample(c, modes), s @ c)
+    assert np.array_equal(basis.gather(values, modes), s.T @ (w * values))
+    assert basis.integrate(values) == float(w @ values)
+    assert np.array_equal(basis.gram(values, modes), s.T @ ((w * values)[:, None] * s))
+    sneg = s * np.sqrt(w * mask)[:, None]
+    assert np.array_equal(basis.gram(mask, modes), sneg.T @ sneg)
+    dense = basis.gram(mask.astype(float), modes)
+    assert np.max(np.abs(basis.gram(mask, modes) - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_only_operator_reads_the_sample_table():
+    # the other modules go through EigenBasis.sample/gather/integrate/gram,
+    # so a second representation of the basis needs to change one module
+    names = {"sample_values", "sample_weights"}
+    offenders = []
+    for path in sorted(Path(fucik.__file__).parent.glob("*.py")):
+        if path.name == "operator.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (isinstance(node, ast.Attribute) and node.attr in names) or (
+                isinstance(node, ast.Constant) and node.value in names
+            )
+            if named:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -469,6 +520,25 @@ def test_document_round_trip(tmp_path):
     assert np.array_equal(loaded.vectors, basis.vectors)
     assert loaded.operator.kernel.s == 0.5
     assert loaded.k == 2
+
+
+def test_saved_basis_mode_matches_plain_open(tmp_path):
+    basis = _fractional_basis(16)
+    previous = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o002):
+            os.umask(mask)
+            out = tmp_path / oct(mask)
+            out.mkdir()
+            fucik.save_basis(basis, str(out / "basis.json"))
+            with open(out / "plain", "w"):
+                pass
+            mode = stat.S_IMODE((out / "basis.json").stat().st_mode)
+            assert mode == stat.S_IMODE((out / "plain").stat().st_mode) == 0o666 & ~mask
+            assert sorted(p.name for p in out.iterdir()) == ["basis.json", "plain"]
+            assert (out / "basis.json").read_text() == json.dumps(fucik.basis_document(basis))
+    finally:
+        os.umask(previous)
 
 
 def test_document_version_checked(tmp_path):

@@ -452,10 +452,17 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
                                _field(small, [1.2, -0.6, 0.4]))
     gradient, inner = semilinear._semilinear_gradient_coeffs, semilinear._maximize_low_E
     events = []  # None per inner maximization (one per reduced evaluation), else the gradient's point
+    sample, products = fucik.EigenBasis.sample, []
+    assert prob.h.samples.shape == (50,)  # h's product is cached before counting
 
-    def counted_gradient(problem, coeffs):
+    def counted_sample(self, coeffs, modes=slice(None)):
+        if len(coeffs) == self.dim:
+            products.append(None)
+        return sample(self, coeffs, modes)
+
+    def counted_gradient(problem, coeffs, u_s):
         events.append(coeffs.copy())
-        return gradient(problem, coeffs)
+        return gradient(problem, coeffs, u_s)
 
     def counted_inner(*args, **kwargs):
         events.append(None)
@@ -463,6 +470,7 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
 
     monkeypatch.setattr(semilinear, "_semilinear_gradient_coeffs", counted_gradient)
     monkeypatch.setattr(semilinear, "_maximize_low_E", counted_inner)
+    monkeypatch.setattr(fucik.EigenBasis, "sample", counted_sample)
     res = fucik.solve(prob, seed=0)
     assert res.status == fucik.CONVERGED
     marks = [i for i, e in enumerate(events) if e is None]
@@ -470,6 +478,42 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
     assert all(b - a <= 2 for a, b in zip(marks, marks[1:]))
     points = [e.tobytes() for e in events if e is not None]
     assert len(set(points)) == len(points)
+    # every full-width sample product is an inner maximization's high field
+    # or a gradient's point, whose E value shares it
+    assert len(products) == len(events)
+
+
+def _per_term_value_and_gradient(prob, c):
+    # E and its gradient as composed before, from the raw table: J, the
+    # forcing integral, J's gradient and the forcing gather each sampled c
+    p, basis, nl = prob.params, prob.params.basis, prob.nonlinearity
+    s, w, lam = basis.sample_values, basis.sample_weights, basis.eigenvalues
+    u = s @ c
+    j = 0.5 * (float(lam @ c**2) - p.alpha * float(w @ np.maximum(u, 0.0) ** 2)
+               - p.beta * float(w @ np.maximum(-u, 0.0) ** 2))
+    u = s @ c
+    forcing = float(w @ (nl.primitive(u) + prob.h.samples * u))
+    u = s @ c
+    g = lam * c - s.T @ (w * (p.alpha * np.maximum(u, 0.0) - p.beta * np.maximum(-u, 0.0)))
+    u = s @ c
+    return j - forcing, g - s.T @ (w * nl.evaluate(u)) - prob.h.coeffs
+
+
+@pytest.mark.parametrize("ctor", [fucik.Nonlinearity.tanh, fucik.Nonlinearity.atan_scaled])
+def test_E_value_and_gradient_from_one_sample_product(basis, ctor):
+    from fucik.semilinear import _semilinear_gradient_coeffs, _semilinear_value
+
+    prob = _nonres_problem(basis, ctor(), _field(basis, [0.3, -0.2, 0.1]), frac=0.3)
+    rng = np.random.default_rng(29)
+    for scale in (0.1, 1.0, 10.0):
+        c = scale * rng.standard_normal(basis.dim)
+        val, grad = _per_term_value_and_gradient(prob, c)
+        u_s = basis.sample(c)
+        assert _semilinear_value(prob, c, u_s) == val
+        assert np.array_equal(_semilinear_gradient_coeffs(prob, c, u_s), grad)
+        u = fucik.to_field(basis, coeffs=c)
+        assert fucik.semilinear_energy(prob, u) == val
+        assert np.array_equal(fucik.semilinear_gradient(prob, u).coeffs, grad)
 
 
 def test_solve_detects_diverging_ray(basis):

@@ -355,15 +355,16 @@ class _ReferenceSolver(spectrum._SphereSolver):
     for the energy, the gradient and the composite field."""
 
     def eval(self, vh):
-        p, k = self.params, self.k
-        coeffs = np.zeros(self.basis.dim)
+        p, k, basis = self.params, self.k, self.basis
+        s = basis.sample_values
+        coeffs = np.zeros(basis.dim)
         coeffs[k:] = vh
-        t = spectrum._maximize_t(p, self.s[:, k:] @ vh, self.t_warm)[0]
+        t = spectrum._maximize_t(p, s[:, k:] @ vh, self.t_warm)[0]
         self.t_warm = t
         coeffs[:k] = t
-        val = spectrum._energy_arrays(self.basis, p.alpha, p.beta, coeffs)
-        grad = spectrum._gradient_arrays(self.basis, p.alpha, p.beta, coeffs)[k:]
-        return val, grad - (2.0 * val) * vh, coeffs, self.s @ coeffs
+        val = spectrum._energy_arrays(basis, p.alpha, p.beta, coeffs, s @ coeffs)
+        grad = spectrum._gradient_arrays(basis, p.alpha, p.beta, coeffs, s @ coeffs)[k:]
+        return val, grad - (2.0 * val) * vh, coeffs, s @ coeffs
 
 
 def _reference_sphere_min(params, seed=0):
