@@ -455,6 +455,7 @@ def _run_curve(cfg: RunConfig, prov: dict):
                 "iters": p.iterations,
                 "root_solves": p.root_solves,
                 "careful": p.careful,
+                "continued": p.continued,
                 "gradient_residual": p.residual,
                 "beta_slope": p.beta_slope,
                 "minimizer": p.minimizer.coeffs,

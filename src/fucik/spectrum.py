@@ -12,13 +12,16 @@ subspace is positive below the spectral curve and crosses zero exactly on it,
 which turns curve computation into one-dimensional root finding in beta.  By
 the envelope theorem dm/dbeta = -1/2 ||u-||^2 at the minimizer's composite
 field u, so every sphere solve also returns the slope the root search steps
-along.
+along.  The curve strictly decreases in alpha, so a traced branch continues
+its search from the previous root: one warm solve there whose value (an upper
+bound on m) is not positive brackets the next root from above.
 
 Solvers: the partial maximization is a damped semismooth Newton method (the
 gradient is piecewise linear in the low coefficients).  The sphere minimum
 runs a sign-pattern-freeze refinement from each start: it solves the exact
 quadratic obtained by freezing the positive/negative sample pattern and
-accepts only true decreases.  A start it leaves above the stationarity
+accepts only true decreases; a start that is already stationary is returned
+after one evaluation.  A start it leaves above the stationarity
 tolerance falls back to projected gradient descent and a second refinement.
 Each reduced evaluation makes one sample product and one gather, because the
 composite samples formed from the partial maximizer give the value, the
@@ -108,7 +111,8 @@ class FucikPoint:
     tol_m, in which case it is a discrete eigenfunction of the asymmetric
     problem and must change sign.  alternates collects distinct multistart
     minimizers whose values tie within tol_m.  beta_slope is dm/dbeta.
-    root_solves and careful are set on roots returned by beta_of_alpha.
+    root_solves, careful and continued are set on roots returned by
+    beta_of_alpha; continued marks a root bracketed from the previous one.
     """
 
     alpha: float
@@ -122,6 +126,7 @@ class FucikPoint:
     iterations: int = 0
     root_solves: int = 0
     careful: bool = False
+    continued: bool = False
 
     def __post_init__(self):
         k = self.minimizer.basis.k
@@ -440,13 +445,18 @@ class _SphereSolver:
         sphere minimum is the smallest eigenpair of a Schur complement; steps
         are accepted (with damping) only on true decrease, and the iteration
         terminates at a pattern fixed point where the frozen and true
-        gradients coincide.
+        gradients coincide.  A start whose gradient is already below 0.05
+        tol_grad (the certifying solve's warm start at a located root) is
+        returned after its one evaluation.
         """
         p, k = self.params, self.k
         val, g, _, u = self.eval(vh)
         pattern = u > 0.0
         used = 0
         for _ in range(_FREEZE_ITERS):
+            gn = float(np.linalg.norm(g))
+            if gn <= 0.05 * p.tol_grad:
+                break
             h = -(p.beta - p.alpha) * self.basis.gram(~pattern)
             h[np.diag_indices_from(h)] += self.lam - p.alpha
             h11 = h[:k, :k]
@@ -463,7 +473,6 @@ class _SphereSolver:
                 v_new = -v_new
             # accept on true-value decrease, or (near the optimum, where value
             # differences drown in roundoff) on halving the true gradient
-            gn = float(np.linalg.norm(g))
             improved = False
             theta = 1.0
             for _ in range(12):
@@ -480,8 +489,6 @@ class _SphereSolver:
                 break
             vh, val, g, u = cand, val_new, g_new, u_new
             used += 1
-            if float(np.linalg.norm(g)) <= 0.05 * p.tol_grad:
-                break
             pattern_new = u > 0.0
             if np.array_equal(pattern_new, pattern):
                 break
@@ -606,11 +613,25 @@ def _m_eval(params: FucikParams, seed: int, warm: Field | None, careful: bool) -
 _ROOT_ITERS = 64
 
 
-def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
+def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful, previous=None) -> FucikPoint:
     lam_k, lam_k1 = basis.lambda_k, basis.lambda_k1
+    solves = 0
+    if previous is not None and previous.beta > lam_k1:
+        # a warm solve's value bounds m from above, so m <= 0 at the previous
+        # root's beta certifies it as the upper end; lambda_{k+1} is the lower
+        # end by the strip bound
+        point_hi = _m_eval(FucikParams(alpha, previous.beta, basis), seed, previous.minimizer, careful)
+        solves = 1
+        if point_hi.m_value <= 0.0:
+            root = _newton_in_beta(
+                alpha, basis, tol_beta, tol_m, seed, careful, lam_k1, previous.beta, point_hi, point_hi.minimizer, solves
+            )
+            return replace(root, continued=True)
+
     point_lo = minimize_on_sphere(FucikParams(alpha, lam_k1, basis), seed=seed)
+    solves += 1
     if abs(point_lo.m_value) <= tol_m:
-        return replace(point_lo, root_solves=1)
+        return replace(point_lo, root_solves=solves)
     if point_lo.m_value < 0.0:
         raise FucikError(
             f"m(alpha, lambda_k1) = {point_lo.m_value:.3e} < 0 contradicts the strip bound"
@@ -619,7 +640,6 @@ def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
     lo, m_lo, warm = lam_k1, point_lo.m_value, point_lo.minimizer
     hi = 2.0 * lam_k1 - lam_k
     beta_max = 50.0 * lam_k1
-    solves = 1
     while True:
         point_hi = _m_eval(FucikParams(alpha, hi, basis), seed, warm, careful)
         solves += 1
@@ -640,11 +660,15 @@ def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful) -> FucikPoint:
                 beta_max=beta_max,
                 m_at_max=point_cap.m_value,
             )
-
-    # safeguarded Newton on the envelope slope dm/dbeta = beta_slope, from
-    # the best point so far; bisect when the slope is not negative, the step
-    # leaves the open bracket, or the last step did not halve |m|
     best = point_hi if abs(m_hi) < abs(m_lo) else point_lo
+    return _newton_in_beta(alpha, basis, tol_beta, tol_m, seed, careful, lo, hi, best, warm, solves)
+
+
+def _newton_in_beta(alpha, basis, tol_beta, tol_m, seed, careful, lo, hi, best, warm, solves) -> FucikPoint:
+    # safeguarded Newton on the envelope slope dm/dbeta = beta_slope inside
+    # the bracket (lo, hi), from the best point so far; bisect when the slope
+    # is not negative, the step leaves the open bracket, or the last step did
+    # not halve |m|.  solves counts the sphere solves made before the call
     last = math.inf
     for _ in range(_ROOT_ITERS):
         m, slope = best.m_value, best.beta_slope
@@ -677,6 +701,8 @@ def beta_of_alpha(
     k: int | None = None,
     tol_beta: float | None = None,
     seed: int = 0,
+    *,
+    previous: FucikPoint | None = None,
 ) -> FucikPoint:
     """Root of beta -> m(alpha, beta) above lambda_{k+1}.
 
@@ -693,6 +719,16 @@ def beta_of_alpha(
     the sphere solves of the whole search, the certifying one included (a
     warm solve retried as a multistart counts once), and careful marks a
     point found by the fallback.
+
+    previous, a root of the same branch at a smaller alpha, continues the
+    search along alpha.  The curve strictly decreases, so the root lies below
+    previous.beta, and a warm solve's value bounds m from above: one solve at
+    previous.beta started from previous.minimizer that returns m <= 0
+    certifies the bracket (lambda_{k+1}, previous.beta) without the cold
+    multistart at lambda_{k+1} and the doubling expansion.  That solve is
+    counted in root_solves, and continued marks a root found this way.
+    Otherwise the search runs as without previous; the certifying multistart
+    and the careful fallback never use it.
     """
     if k is not None and k != basis.k:
         basis = basis.with_k(k)
@@ -702,13 +738,13 @@ def beta_of_alpha(
         raise ConfigError("tol_beta must be positive")
     tol_m = probe.tol_m
 
-    best = _locate_root(alpha, basis, tol_beta, tol_m, seed, careful=False)
+    best = _locate_root(alpha, basis, tol_beta, tol_m, seed, careful=False, previous=previous)
     final = minimize_on_sphere(
         FucikParams(alpha, best.beta, basis), seed=seed, warm=best.minimizer, multistart=True
     )
     solves = best.root_solves + 1
     if abs(final.m_value) <= tol_m:
-        return replace(final, root_solves=solves)
+        return replace(final, root_solves=solves, continued=best.continued)
     root = _locate_root(alpha, basis, tol_beta, tol_m, seed, careful=True)
     return replace(root, root_solves=solves + root.root_solves, careful=True)
 
@@ -720,7 +756,12 @@ def trace_curve(
     seed: int = 0,
     tol_beta: float | None = None,
 ) -> CurveBranch:
-    """Sample the curve at Chebyshev-spaced alphas strictly inside the strip."""
+    """Sample the curve at Chebyshev-spaced alphas strictly inside the strip.
+
+    The alphas ascend, and each root search continues from the root found at
+    the previous alpha (beta_of_alpha's previous); an alpha without a root is
+    annotated, and the search after it starts cold.
+    """
     if n_samples < 3:
         raise ConfigError("need at least 3 samples")
     if k is not None and k != basis.k:
@@ -733,11 +774,14 @@ def trace_curve(
 
     points = []
     annotations = []
+    previous = None
     for a in alphas:
         try:
-            points.append(beta_of_alpha(float(a), basis, seed=seed, tol_beta=tol_beta))
+            previous = beta_of_alpha(float(a), basis, seed=seed, tol_beta=tol_beta, previous=previous)
+            points.append(previous)
         except (BracketExhausted, MaxIterations) as e:
             annotations.append(f"alpha={float(a)!r}: {e}")
+            previous = None
     lipschitz = 0.0
     for p1, p2 in zip(points, points[1:]):
         lipschitz = max(lipschitz, abs(p2.beta - p1.beta) / (p2.alpha - p1.alpha))

@@ -174,6 +174,9 @@ def test_curve_mode_artifacts(tmp_path):
         # at least the bracket's two ends and the multistart certification
         assert isinstance(sample["root_solves"], int) and sample["root_solves"] >= 3
         assert sample["careful"] is False
+    # the first root is bracketed cold, later ones from their predecessor
+    assert doc["samples"][0]["continued"] is False
+    assert any(sample["continued"] is True for sample in doc["samples"][1:])
     svg = (out / "curve.svg").read_text()
     # curve + diagonal + the two first-eigenvalue lines
     assert svg.count("<polyline") == 4

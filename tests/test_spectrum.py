@@ -453,6 +453,43 @@ def test_trace_curve_sphere_evaluation_budget(frac96, monkeypatch):
     assert len(calls) <= 2000
 
 
+def test_continued_trace_sphere_evaluation_budget(frac96, monkeypatch):
+    # 553 evaluations with a cold bracket at every alpha and a full
+    # refinement of the certifying solve's stationary warm start
+    evaluate = spectrum._SphereSolver.eval
+    calls = []
+
+    def counted(self, vh):
+        calls.append(None)
+        return evaluate(self, vh)
+
+    monkeypatch.setattr(spectrum._SphereSolver, "eval", counted)
+    branch = fucik.trace_curve(frac96, n_samples=5, seed=0)
+    assert len(branch.samples) == 5
+    assert len(calls) <= 450
+
+
+def test_freeze_refine_returns_a_stationary_start_unchanged(frac96, monkeypatch):
+    # the certifying solve starts from the located root's minimizer; its
+    # refinement must not pay a Schur solve and failed damping for it
+    pt = fucik.beta_of_alpha(_trace_alphas(frac96, 5)[2], frac96)
+    solver = spectrum._SphereSolver(fucik.FucikParams(pt.alpha, pt.beta, frac96))
+    vh = pt.minimizer.coeffs[frac96.k :].copy()
+    evaluate = spectrum._SphereSolver.eval
+    calls = []
+
+    def counted(self, v):
+        calls.append(None)
+        return evaluate(self, v)
+
+    monkeypatch.setattr(spectrum._SphereSolver, "eval", counted)
+    out, val, g, used = solver.freeze_refine(vh)
+    assert len(calls) == 1
+    assert used == 0
+    assert np.array_equal(out, vh)
+    assert float(np.linalg.norm(g)) <= 0.05 * solver.params.tol_grad
+
+
 # ---------------------------------------------------------------------------
 # root finding in beta
 
@@ -556,6 +593,13 @@ def _reference_locate_root(alpha, basis, tol_beta, tol_m, seed):
         b1, f1, b2, f2 = b2, f2, cand, point.m_value
     assert abs(best.m_value) <= tol_m
     return best
+
+
+def _trace_alphas(basis, n):
+    """trace_curve's sample alphas, ascending, in its own arithmetic."""
+    mid, half = 0.5 * (basis.lambda_k + basis.lambda_k1), 0.5 * (basis.lambda_k1 - basis.lambda_k)
+    nodes = mid + half * np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+    return [float(a) for a in np.sort(nodes)]
 
 
 def _chebyshev_alphas(basis, n):
@@ -743,6 +787,83 @@ def test_trace_partial_branch_annotated(branch5, local1):
     assert returned == n_nodes
     for note in branch5.annotations:
         assert "beta" in note
+
+
+@pytest.fixture(scope="module")
+def frac96_quarter():
+    mesh = fucik.Mesh1D(-1.0, 1.0, 96)
+    return fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.25), mesh), k=1)
+
+
+@pytest.fixture(scope="module")
+def frac96_k2(frac96):
+    return frac96.with_k(2)
+
+
+@pytest.fixture(scope="module")
+def local96():
+    mesh = fucik.Mesh1D(0.0, math.pi, 96)
+    return fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
+
+
+@pytest.mark.parametrize("name", ["frac96_quarter", "frac96_k2", "local96"])
+def test_continued_trace_matches_independent_roots(name, request):
+    # s = 0.25, k = 1 is where letting Newton size the expansion lost a root
+    basis = request.getfixturevalue(name)
+    branch = fucik.trace_curve(basis, n_samples=5, seed=0)
+    points, annotations = [], []
+    for a in _trace_alphas(basis, 5):
+        try:
+            points.append(fucik.beta_of_alpha(a, basis, seed=0))
+        except (fucik.BracketExhausted, fucik.MaxIterations) as e:
+            annotations.append(f"alpha={a!r}: {e}")
+    assert branch.annotations == tuple(annotations)
+    assert [p.alpha for p in branch.samples] == [p.alpha for p in points]
+    for got, ref in zip(branch.samples, points):
+        assert abs(got.beta - ref.beta) <= branch.tolerances["tol_beta"]
+        assert not got.careful
+    assert not branch.samples[0].continued
+    assert any(p.continued for p in branch.samples[1:])
+
+
+def test_continued_trace_certifies_each_root_and_starts_cold_once(frac96, monkeypatch):
+    solve = spectrum.minimize_on_sphere
+    kinds = []
+
+    def counted(params, seed=0, warm=None, multistart=True):
+        kinds.append((warm is not None, multistart))
+        return solve(params, seed=seed, warm=warm, multistart=multistart)
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", counted)
+    branch = fucik.trace_curve(frac96, n_samples=5, seed=0)
+    assert not branch.annotations
+    assert kinds.count((True, True)) == len(branch.samples)  # certifications
+    assert kinds.count((False, True)) == 1  # the first alpha's cold bracket
+    assert all(p.continued for p in branch.samples[1:])
+
+
+def test_positive_warm_value_at_previous_root_takes_the_cold_path(frac96, monkeypatch):
+    a1, a2 = _trace_alphas(frac96, 5)[1:3]
+    previous = fucik.beta_of_alpha(a1, frac96)
+    expected = fucik.beta_of_alpha(a2, frac96)
+    assert fucik.beta_of_alpha(a2, frac96, previous=previous).continued
+    solve = spectrum.minimize_on_sphere
+    cold = []
+
+    def positive_at_previous(params, seed=0, warm=None, multistart=True):
+        point = solve(params, seed=seed, warm=warm, multistart=multistart)
+        if warm is None:
+            cold.append(params.beta)
+        if params.beta == previous.beta and not multistart:
+            return dataclasses.replace(point, m_value=abs(point.m_value) + 1.0, eigenfunction=None)
+        return point
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", positive_at_previous)
+    got = fucik.beta_of_alpha(a2, frac96, previous=previous)
+    assert not got.continued and not got.careful
+    assert cold == [frac96.lambda_k1]
+    assert abs(got.beta - expected.beta) <= _tolerances(frac96, a2)[0]
+    assert got.root_solves == expected.root_solves + 1  # the warm solve counts
 
 
 def test_swap_point_residual_identity(branch5, local1):
