@@ -794,46 +794,25 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
         iterations += 1
         trace.append((val, res))
 
-    u_star = to_field(basis, coeffs=c)
-    energy_val = val
-    if res > tol_res:
-        return SaddleResult(
-            u_star=u_star,
-            residual=res,
-            energy=energy_val,
-            iterations=iterations,
-            status=MAX_ITERATIONS,
-            trace=tuple(trace),
-            diagnostics=diagnostics,
-            gll=gll,
-        )
-
-    # weak-form verification against random test fields
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
-        d = rng.standard_normal(basis.dim)
-        d /= np.linalg.norm(d)
-        worst = max(worst, abs(float(g_full @ d)))
-    diagnostics["weak_form_max_pairing"] = worst
-    if worst > tol_res:
-        return SaddleResult(
-            u_star=u_star,
-            residual=res,
-            energy=energy_val,
-            iterations=iterations,
-            status=MAX_ITERATIONS,
-            trace=tuple(trace),
-            diagnostics=diagnostics,
-            gll=gll,
-        )
-
+    # converged only with the residual below tol_res and the weak form
+    # verified against random test fields
+    status = MAX_ITERATIONS
+    if res <= tol_res:
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(50):
+            d = rng.standard_normal(basis.dim)
+            d /= np.linalg.norm(d)
+            worst = max(worst, abs(float(g_full @ d)))
+        diagnostics["weak_form_max_pairing"] = worst
+        if worst <= tol_res:
+            status = CONVERGED
     return SaddleResult(
-        u_star=u_star,
+        u_star=to_field(basis, coeffs=c),
         residual=res,
-        energy=energy_val,
+        energy=val,
         iterations=iterations,
-        status=CONVERGED,
+        status=status,
         trace=tuple(trace),
         diagnostics=diagnostics,
         gll=gll,

@@ -25,10 +25,12 @@ after one evaluation.  A start it leaves above the stationarity
 tolerance falls back to projected gradient descent and a second refinement.
 Each reduced evaluation makes one sample product and one gather, because the
 composite samples formed from the partial maximizer give the value, the
-gradient and the sign pattern.  All quadratures use the basis's shared
-per-element Simpson rule, which integrates products of piecewise-linear
-fields exactly; several identities in the tests (diagonal case, concavity
-constant) hold to machine precision because of this.
+gradient and the sign pattern.  Both steps hand back the evaluation they
+accepted, so the returned point and its slope in beta are the chosen start's
+own evaluation and no point is evaluated twice.  All quadratures use the
+basis's shared per-element Simpson rule, which integrates products of
+piecewise-linear fields exactly; several identities in the tests (diagonal
+case, concavity constant) hold to machine precision because of this.
 """
 
 from __future__ import annotations
@@ -372,7 +374,11 @@ _FREEZE_ITERS = 40
 
 
 class _SphereSolver:
-    """One (alpha, beta) instance: reduced energy/gradient with warm starts."""
+    """One (alpha, beta) instance: reduced energy/gradient with warm starts.
+
+    descend and freeze_refine return (vh, eval(vh), accepted steps): the
+    point they stop at together with the evaluation that accepted it.
+    """
 
     def __init__(self, params: FucikParams):
         self.params = params
@@ -403,11 +409,12 @@ class _SphereSolver:
         p, k = self.params, self.k
         pre = 1.0 / (self.lam[k:] - p.alpha + 1.0 + p.beta - p.alpha)
         vh = vh / np.linalg.norm(vh)
-        val, g, _, _ = self.eval(vh)
+        ev = self.eval(vh)
         eta = 1.0
         prev_v, prev_g = None, None
         used = 0
         for _ in range(_DESCEND_ITERS):
+            val, g = ev[0], ev[1]
             gn = float(np.linalg.norm(g))
             if gn <= 0.3 * p.tol_grad:
                 break
@@ -425,17 +432,17 @@ class _SphereSolver:
             for _ in range(25):
                 cand = vh - step * d
                 cand /= np.linalg.norm(cand)
-                val_new, g_new, _, _ = self.eval(cand)
-                if val_new <= val - 1e-4 * step * float(g @ d):
+                ev_new = self.eval(cand)
+                if ev_new[0] <= val - 1e-4 * step * float(g @ d):
                     accepted = True
                     break
                 step *= 0.5
             if not accepted:
                 break
             prev_v, prev_g = vh, g
-            vh, val, g = cand, val_new, g_new
+            vh, ev = cand, ev_new
             used += 1
-        return vh, val, g, used
+        return vh, ev, used
 
     def freeze_refine(self, vh: np.ndarray):
         """Sign-pattern-freeze refinement.
@@ -450,10 +457,11 @@ class _SphereSolver:
         returned after its one evaluation.
         """
         p, k = self.params, self.k
-        val, g, _, u = self.eval(vh)
-        pattern = u > 0.0
+        ev = self.eval(vh)
+        pattern = ev[3] > 0.0
         used = 0
         for _ in range(_FREEZE_ITERS):
+            val, g = ev[0], ev[1]
             gn = float(np.linalg.norm(g))
             if gn <= 0.05 * p.tol_grad:
                 break
@@ -480,20 +488,20 @@ class _SphereSolver:
                 nrm = float(np.linalg.norm(cand))
                 if nrm > 1e-12:
                     cand /= nrm
-                    val_new, g_new, _, u_new = self.eval(cand)
-                    if val_new < val - 1e-15 * (1.0 + abs(val)) or float(np.linalg.norm(g_new)) < 0.5 * gn:
+                    ev_new = self.eval(cand)
+                    if ev_new[0] < val - 1e-15 * (1.0 + abs(val)) or float(np.linalg.norm(ev_new[1])) < 0.5 * gn:
                         improved = True
                         break
                 theta *= 0.5
             if not improved:
                 break
-            vh, val, g, u = cand, val_new, g_new, u_new
+            vh, ev = cand, ev_new
             used += 1
-            pattern_new = u > 0.0
+            pattern_new = ev[3] > 0.0
             if np.array_equal(pattern_new, pattern):
                 break
             pattern = pattern_new
-        return vh, val, g, used
+        return vh, ev, used
 
 
 @single_threaded()
@@ -509,10 +517,12 @@ def minimize_on_sphere(
     projected descent followed by a second refinement.  With
     multistart=False only the warm start is solved (cheap continuation
     inside root finding); correctness there is backed by a full multistart
-    certification at the located root.  The returned point carries a
-    stationarity certificate (tangential gradient of the true reduced
-    functional below tol_grad), the tie-break diagnostics, and all distinct
-    tied minimizers.  BLAS runs single-threaded for the duration.
+    certification at the located root.  Of the starts whose values tie
+    within tol_m, the one with the flattest beta_slope wins, and the
+    returned point is that start's accepted evaluation, not a fresh one.  It
+    carries a stationarity certificate (tangential gradient of the true
+    reduced functional below tol_grad) and all distinct tied minimizers.
+    BLAS runs single-threaded for the duration.
     """
     basis, k = params.basis, params.k
     dim_high = basis.dim - k
@@ -535,31 +545,29 @@ def minimize_on_sphere(
             r = rng.standard_normal(dim_high)
             starts.append(r / np.linalg.norm(r))
 
-    results = []
-    total_iter = 0
-    for idx, v0 in enumerate(starts):
-        # the frozen-pattern solve alone usually lands a stationary point;
-        # descend only when its certificate is not yet met
-        vh, val, g, used = solver.freeze_refine(v0)
-        if float(np.linalg.norm(g)) > params.tol_grad:
-            vh, val, g, used_a = solver.descend(vh)
-            vh, val, g, used_b = solver.freeze_refine(vh)
-            used += used_a + used_b
-        results.append((val, idx, vh, g))
-        total_iter += used
-
-    best_val = min(r[0] for r in results)
-    tied = [r for r in results if r[0] <= best_val + params.tol_m]
-
     def beta_slope(u):
         # dJ~/dbeta = -1/2 ||negative part of the composite field||^2
         return -0.5 * basis.integrate(_neg(u) ** 2)
 
-    keyed = tied
-    if len(tied) > 1:
-        keyed = sorted(tied, key=lambda r: (abs(beta_slope(solver.eval(r[2])[3])), r[1]))
-    val, idx, vh, g = keyed[0]
-    val, g, coeffs, u = solver.eval(vh)
+    results = []
+    total_iter = 0
+    for v0 in starts:
+        # the frozen-pattern solve alone usually lands a stationary point;
+        # descend only when its certificate is not yet met
+        vh, ev, used = solver.freeze_refine(v0)
+        if float(np.linalg.norm(ev[1])) > params.tol_grad:
+            vh, ev, used_a = solver.descend(vh)
+            vh, ev, used_b = solver.freeze_refine(vh)
+            used += used_a + used_b
+        results.append((vh, ev))
+        total_iter += used
+
+    # of the starts tied within tol_m keep the flattest in beta, the earliest
+    # start on equal slopes (the sort is stable)
+    best_val = min(ev[0] for _, ev in results)
+    tied = [r for r in results if r[1][0] <= best_val + params.tol_m]
+    tied.sort(key=lambda r: abs(beta_slope(r[1][3])))
+    vh, (val, g, coeffs, u) = tied[0]
 
     residual = float(np.linalg.norm(g))
     if residual > params.tol_grad:
@@ -574,7 +582,7 @@ def minimize_on_sphere(
     minimizer = to_field(basis, coeffs=vc)
 
     alternates = []
-    for other_val, _, other_vh, _ in keyed[1:]:
+    for other_vh, _ in tied[1:]:
         if np.linalg.norm(other_vh - vh) > 1e-6:
             oc = np.zeros(basis.dim)
             oc[k:] = other_vh / np.linalg.norm(other_vh)
@@ -614,79 +622,69 @@ _ROOT_ITERS = 64
 
 
 def _locate_root(alpha, basis, tol_beta, tol_m, seed, careful, previous=None) -> FucikPoint:
+    # the bracket is two solved points: point_hi with m <= 0, and point_lo
+    # with m > 0, or None while lo is the strip bound lambda_{k+1}
     lam_k, lam_k1 = basis.lambda_k, basis.lambda_k1
+    point_lo = point_hi = None
     solves = 0
     if previous is not None and previous.beta > lam_k1:
         # a warm solve's value bounds m from above, so m <= 0 at the previous
-        # root's beta certifies it as the upper end; lambda_{k+1} is the lower
-        # end by the strip bound
-        point_hi = _m_eval(FucikParams(alpha, previous.beta, basis), seed, previous.minimizer, careful)
+        # root's beta certifies it as the upper end
+        point = _m_eval(FucikParams(alpha, previous.beta, basis), seed, previous.minimizer, careful)
         solves = 1
-        if point_hi.m_value <= 0.0:
-            root = _newton_in_beta(
-                alpha, basis, tol_beta, tol_m, seed, careful, lam_k1, previous.beta, point_hi, point_hi.minimizer, solves
-            )
-            return replace(root, continued=True)
+        if point.m_value <= 0.0:
+            point_hi = point
+    continued = point_hi is not None
 
-    point_lo = minimize_on_sphere(FucikParams(alpha, lam_k1, basis), seed=seed)
-    solves += 1
-    if abs(point_lo.m_value) <= tol_m:
-        return replace(point_lo, root_solves=solves)
-    if point_lo.m_value < 0.0:
-        raise FucikError(
-            f"m(alpha, lambda_k1) = {point_lo.m_value:.3e} < 0 contradicts the strip bound"
-        )
-
-    lo, m_lo, warm = lam_k1, point_lo.m_value, point_lo.minimizer
-    hi = 2.0 * lam_k1 - lam_k
-    beta_max = 50.0 * lam_k1
-    while True:
-        point_hi = _m_eval(FucikParams(alpha, hi, basis), seed, warm, careful)
+    if not continued:
+        point = minimize_on_sphere(FucikParams(alpha, lam_k1, basis), seed=seed)
         solves += 1
-        m_hi, warm = point_hi.m_value, point_hi.minimizer
-        if m_hi <= 0.0:
-            break
-        lo, m_lo = hi, m_hi
-        hi = lam_k1 + 2.0 * (hi - lam_k1)
-        if hi > beta_max:
-            point_cap = _m_eval(FucikParams(alpha, beta_max, basis), seed, warm, careful=True)
+        if abs(point.m_value) <= tol_m:
+            return replace(point, root_solves=solves)
+        if point.m_value < 0.0:
+            raise FucikError(f"m(alpha, lambda_k1) = {point.m_value:.3e} < 0 contradicts the strip bound")
+        # double the distance to lambda_{k+1} until m <= 0; the last step is
+        # clamped to the cap 50 lambda_{k+1} and solved carefully
+        beta, beta_max = 2.0 * lam_k1 - lam_k, 50.0 * lam_k1
+        while point.m_value > 0.0:
+            point_lo = point
+            at_cap = beta >= beta_max
+            beta = min(beta, beta_max)
+            point = _m_eval(FucikParams(alpha, beta, basis), seed, point_lo.minimizer, careful or at_cap)
             solves += 1
-            if point_cap.m_value <= 0.0:
-                hi, m_hi = beta_max, point_cap.m_value
-                warm = point_cap.minimizer
-                break
-            raise BracketExhausted(
-                f"m(alpha={alpha}, beta) stayed positive up to beta={beta_max}",
-                beta_max=beta_max,
-                m_at_max=point_cap.m_value,
-            )
-    best = point_hi if abs(m_hi) < abs(m_lo) else point_lo
-    return _newton_in_beta(alpha, basis, tol_beta, tol_m, seed, careful, lo, hi, best, warm, solves)
+            if at_cap and point.m_value > 0.0:
+                raise BracketExhausted(
+                    f"m(alpha={alpha}, beta) stayed positive up to beta={beta_max}",
+                    beta_max=beta_max,
+                    m_at_max=point.m_value,
+                )
+            beta = lam_k1 + 2.0 * (beta - lam_k1)
+        point_hi = point
 
-
-def _newton_in_beta(alpha, basis, tol_beta, tol_m, seed, careful, lo, hi, best, warm, solves) -> FucikPoint:
-    # safeguarded Newton on the envelope slope dm/dbeta = beta_slope inside
-    # the bracket (lo, hi), from the best point so far; bisect when the slope
-    # is not negative, the step leaves the open bracket, or the last step did
-    # not halve |m|.  solves counts the sphere solves made before the call
+    # safeguarded Newton on the envelope slope dm/dbeta = beta_slope from the
+    # bracket end with the smaller |m|, warm-started from the last solve;
+    # bisect when the slope is not negative, the step leaves the open
+    # bracket, or the last step did not halve |m|
     last = math.inf
-    for _ in range(_ROOT_ITERS):
+    for step in range(_ROOT_ITERS + 1):
+        lo = lam_k1 if point_lo is None else point_lo.beta
+        hi = point_hi.beta
+        best = point_hi if point_lo is None or abs(point_hi.m_value) < abs(point_lo.m_value) else point_lo
         m, slope = best.m_value, best.beta_slope
         if abs(m) <= tol_m and (hi - lo <= tol_beta or (slope < 0.0 and abs(m / slope) <= tol_beta)):
-            return replace(best, root_solves=solves)
+            return replace(best, root_solves=solves, continued=continued)
+        if step == _ROOT_ITERS:
+            break
         cand = 0.5 * (lo + hi)
         if slope < 0.0 and abs(m) <= 0.5 * last and lo < best.beta - m / slope < hi:
             cand = best.beta - m / slope
         last = abs(m)
-        point = _m_eval(FucikParams(alpha, cand, basis), seed, warm, careful)
+        point = _m_eval(FucikParams(alpha, cand, basis), seed, point.minimizer, careful)
         solves += 1
-        warm = point.minimizer
-        if abs(point.m_value) < abs(best.m_value):
-            best = point
         if point.m_value > 0.0:
-            lo = cand
+            point_lo = point
         else:
-            hi = cand
+            point_hi = point
     raise MaxIterations(
         f"root search left |m| = {abs(best.m_value):.3e} (tol_m = {tol_m:.3e}) "
         f"in a bracket of width {hi - lo:.3e} after {_ROOT_ITERS} steps",
@@ -752,7 +750,6 @@ def beta_of_alpha(
 def trace_curve(
     basis: EigenBasis,
     n_samples: int,
-    k: int | None = None,
     seed: int = 0,
     tol_beta: float | None = None,
 ) -> CurveBranch:
@@ -764,8 +761,6 @@ def trace_curve(
     """
     if n_samples < 3:
         raise ConfigError("need at least 3 samples")
-    if k is not None and k != basis.k:
-        basis = basis.with_k(k)
     lam_k, lam_k1 = basis.lambda_k, basis.lambda_k1
     mid = 0.5 * (lam_k + lam_k1)
     half = 0.5 * (lam_k1 - lam_k)

@@ -1,17 +1,21 @@
 """Tests for the command-line layer: config round-trips, SVG emission,
 the four run modes, and the byte-determinism of emitted artifacts."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fucik
+from fucik import semilinear, spectrum
 
 
 def _read_csv(path):
@@ -386,3 +390,46 @@ def test_curve_is_byte_identical_across_blas_thread_counts(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append((out / "curve.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_curve_run_under_the_layer_tracer(tmp_path):
+    # the benchmark's tracer wraps layer functions by name from outside the
+    # package; a curve run under it must work, count every layer it wraps
+    # on that path, and leave every binding as it found it
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    owners = [m for name, m in sys.modules.items() if name == "fucik" or name.startswith("fucik.")]
+    owners += [spectrum._SphereSolver, semilinear.Nonlinearity]
+
+    def bindings():
+        held = {(id(o), attr): value for o in owners for attr, value in list(vars(o).items()) if callable(value)}
+        held.update({("scipy.linalg", a): getattr(scipy.linalg, a) for a in ("cho_factor", "lstsq")})
+        return held
+
+    before = bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert spectrum.minimize_on_sphere is not before[(id(spectrum), "minimize_on_sphere")]
+    mark = tracer.mark()
+    tracer.begin_op("curve")
+    try:
+        status = _run(["--mode", "curve", "--elements", "16", "--out", str(tmp_path / "out")])
+    finally:
+        tracer.end_op()
+        tracer.uninstall()
+    assert status == 0
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+    calls = Counter(tracer.names[span[0]] for span in tracer.spans)
+    for name in ("beta_of_alpha", "minimize_on_sphere", "freeze_refine", "maximize_t"):
+        assert calls["spectrum." + name] > 0, name
+    stats = tracer.round_stats(mark)
+    assert set(stats) == set(tracing.PER_LAYER)
+    assert (stats["spectrum.minimize_on_sphere.multistart_calls"]
+            + stats["spectrum.minimize_on_sphere.warm_calls"]) == calls["spectrum.minimize_on_sphere"]
+    assert stats["spectrum.maximize_t.iterations"] > 0

@@ -380,8 +380,9 @@ def _reference_sphere_min(params, seed=0):
     starts.append(r / np.linalg.norm(r))
     best = math.inf
     for v0 in starts:
-        vh, _, _, _ = solver.descend(v0)
-        best = min(best, solver.freeze_refine(vh)[1])
+        vh, _, _ = solver.descend(v0)
+        _, (val, _, _, _), _ = solver.freeze_refine(vh)
+        best = min(best, val)
     return best
 
 
@@ -416,8 +417,7 @@ def test_sphere_start_falls_back_to_descent(local2, monkeypatch):
         if descended and descended[-1] is self:
             descended.append(None)
             return refine(self, vh)
-        val, g, _, _ = self.eval(vh)
-        return vh, val, g, 0
+        return vh, self.eval(vh), 0
 
     def counted_descend(self, vh):
         descended.append(self)
@@ -455,7 +455,8 @@ def test_trace_curve_sphere_evaluation_budget(frac96, monkeypatch):
 
 def test_continued_trace_sphere_evaluation_budget(frac96, monkeypatch):
     # 553 evaluations with a cold bracket at every alpha and a full
-    # refinement of the certifying solve's stationary warm start
+    # refinement of the certifying solve's stationary warm start, 382 with
+    # the chosen start and its tied rivals evaluated again after their steps
     evaluate = spectrum._SphereSolver.eval
     calls = []
 
@@ -466,7 +467,7 @@ def test_continued_trace_sphere_evaluation_budget(frac96, monkeypatch):
     monkeypatch.setattr(spectrum._SphereSolver, "eval", counted)
     branch = fucik.trace_curve(frac96, n_samples=5, seed=0)
     assert len(branch.samples) == 5
-    assert len(calls) <= 450
+    assert len(calls) <= 340
 
 
 def test_freeze_refine_returns_a_stationary_start_unchanged(frac96, monkeypatch):
@@ -483,11 +484,12 @@ def test_freeze_refine_returns_a_stationary_start_unchanged(frac96, monkeypatch)
         return evaluate(self, v)
 
     monkeypatch.setattr(spectrum._SphereSolver, "eval", counted)
-    out, val, g, used = solver.freeze_refine(vh)
+    out, (val, g, _, _), used = solver.freeze_refine(vh)
     assert len(calls) == 1
     assert used == 0
     assert np.array_equal(out, vh)
     assert float(np.linalg.norm(g)) <= 0.05 * solver.params.tol_grad
+    assert abs(val - pt.m_value) <= solver.params.tol_m
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +701,38 @@ def test_locate_root_bisects_when_newton_oscillates(local1, monkeypatch):
     assert abs(got.m_value) <= tol_m
     assert abs(got.beta - r) <= tol_beta
     assert got.root_solves == len(calls) <= 25
+
+
+def test_locate_root_steps_from_the_live_bracket_end(local1, monkeypatch):
+    # on m(beta) = c (exp((r - beta) / L) - 1) with the root between the
+    # first and second doubling points, the first doubling point is the
+    # bracket end with the smaller |m|; Newton must step from there and not
+    # from the earlier solve at lambda_{k+1}
+    a = _alpha_at(local1, 0.5)
+    tol_beta, tol_m = _tolerances(local1, a)
+    lam_k, lam_k1 = local1.lambda_k, local1.lambda_k1
+    template = fucik.minimize_on_sphere(fucik.FucikParams(a, lam_k1, local1))
+    first, second = 2.0 * lam_k1 - lam_k, 3.0 * lam_k1 - 2.0 * lam_k
+    r, scale = first + 0.2 * (second - first), lam_k1 - lam_k
+    betas = []
+
+    def m_and_slope(beta):
+        e = math.exp((r - beta) / scale)
+        return 1e-4 * (e - 1.0), -1e-4 * e / scale
+
+    def synthetic(params, seed=0, warm=None, multistart=True):
+        betas.append(params.beta)
+        m, slope = m_and_slope(params.beta)
+        return dataclasses.replace(template, beta=params.beta, m_value=m, beta_slope=slope, eigenfunction=None)
+
+    monkeypatch.setattr(spectrum, "minimize_on_sphere", synthetic)
+    got = spectrum._locate_root(a, local1, tol_beta, tol_m, 0, careful=False)
+    assert betas[:3] == pytest.approx([lam_k1, first, second], rel=1e-12)
+    m, slope = m_and_slope(betas[1])
+    assert betas[3] == pytest.approx(betas[1] - m / slope, rel=1e-12)
+    assert abs(got.m_value) <= tol_m
+    assert abs(got.beta - r) <= tol_beta
+    assert got.root_solves == len(betas)
 
 
 def test_root_search_solve_budget(frac96, monkeypatch):
