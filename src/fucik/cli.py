@@ -30,6 +30,8 @@ from .operator import (
     EigenBasis,
     Kernel,
     Mesh1D,
+    _config_number,
+    _config_numbers,
     _write_atomic,
     assemble,
     basis_document,
@@ -80,10 +82,8 @@ class RunConfig:
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         parse_kernel(self.kernel)
-        dom = tuple(float(v) for v in self.domain)
-        if len(dom) != 2:
-            raise ConfigError(f"domain needs exactly two endpoints, got {self.domain!r}")
-        if not all(math.isfinite(v) for v in dom) or dom[1] <= dom[0]:
+        dom = _config_numbers(self.domain, "domain", count=2)
+        if dom[1] <= dom[0]:
             raise ConfigError(f"domain {dom!r} is not a nonempty finite interval")
         object.__setattr__(self, "domain", dom)
         for name in ("elements", "k", "alpha_samples", "seed"):
@@ -100,12 +100,14 @@ class RunConfig:
             raise ConfigError(f"problem must be a path string, got {self.problem!r}")
         if not isinstance(self.out, str) or not self.out:
             raise ConfigError(f"out must be a nonempty path string, got {self.out!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be a mapping, got {self.tolerances!r}")
         tols = dict(self.tolerances)
         for name, value in tols.items():
             if name not in _TOL_KEYS:
                 raise ConfigError(f"unknown tolerance {name!r}; known: {_TOL_KEYS}")
-            value = float(value)
-            if not (value > 0.0 and math.isfinite(value)):
+            value = _config_number(value, f"tolerance {name!r}")
+            if value <= 0.0:
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
             tols[name] = value
         object.__setattr__(self, "tolerances", tols)
@@ -137,10 +139,7 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "mode" not in doc:
             raise ConfigError("config is missing required key 'mode'")
-        kwargs = {key: doc[key] for key in doc}
-        if "domain" in kwargs:
-            kwargs["domain"] = tuple(kwargs["domain"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     @property
     def config_hash(self) -> str:
@@ -675,13 +674,15 @@ def config_from_args(argv: list | None = None) -> RunConfig:
             doc[name] = value
     if args.domain is not None:
         doc["domain"] = _parse_domain(args.domain)
-    tols = dict(doc.get("tolerances", {}))
-    if args.tol_beta is not None:
-        tols["beta"] = args.tol_beta
-    if args.tol_validate is not None:
-        tols["validate"] = args.tol_validate
-    if tols:
-        doc["tolerances"] = tols
+    tols = doc.get("tolerances", {})
+    if isinstance(tols, dict):  # RunConfig refuses any other value
+        tols = dict(tols)
+        if args.tol_beta is not None:
+            tols["beta"] = args.tol_beta
+        if args.tol_validate is not None:
+            tols["validate"] = args.tol_validate
+        if tols:
+            doc["tolerances"] = tols
     return RunConfig.from_dict(doc)
 
 

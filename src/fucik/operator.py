@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -59,6 +60,10 @@ SCHEMA_VERSION = 1
 # valid at the discrete level.
 _SIMPSON_OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _SIMPSON_WEIGHTS = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
+# The element's left and right hats at the offsets (the entries of P's
+# rows), and the products that build T: left^2, right^2, left * right.
+_HATS = np.array([1.0 - _SIMPSON_OFFSETS, _SIMPSON_OFFSETS])
+_HAT_PRODUCTS = np.array([_HATS[0] ** 2, _HATS[1] ** 2, _HATS[0] * _HATS[1]])
 
 # Tensor Gauss points per element for the well-separated element pairs.
 _GAUSS_ORDER = 8
@@ -78,6 +83,19 @@ def _power_integral(exponent: float, t1: float, t2: float) -> float:
     if p == 0.0:
         return math.log(t2 / t1)
     return (math.expm1(p * math.log(t2)) - math.expm1(p * math.log(t1))) / p
+
+
+def _config_number(value, what: str) -> float:
+    """A finite number from a run config or problem document."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _config_numbers(value, what: str, count: int | None = None) -> tuple:
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        raise ConfigError(f"{what} must be a list of {count or 'finite'} numbers, got {value!r}")
+    return tuple(_config_number(v, what) for v in value)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -467,13 +485,12 @@ class EigenBasis:
     the "low" subspace used by the variational layer.
 
     Every nonlinear quadrature in the package uses the shared per-element
-    Simpson rule: sample_points and sample_weights (5 per element), and
-    sample_values, the eigenfunction values at the points (5n x N), which is
-    built on first read and shared with the with_k copies.  The other
-    modules go through four methods, where modes selects eigenfunction
-    columns (all by default): sample (field values from coefficients),
-    gather (weighted pairings of sampled values with the eigenfunctions),
-    integrate (the weighted sum) and gram (the weighted Gram matrix).
+    Simpson rule, sample_points and sample_weights w (5 per element),
+    through four methods, where modes selects the columns V_m (all by
+    default): sample(c) = P V_m c, gather(v) = V_m^T P^T (w v),
+    integrate(v) = w . v and gram(v) = V_m^T T V_m.  P interpolates nodal
+    values at the points (two nonzeros per row) and T = P^T diag(w v) P is
+    tridiagonal, so no 5n x N table of eigenfunction samples is formed.
     """
 
     operator: GalerkinOperator
@@ -498,13 +515,6 @@ class EigenBasis:
         pts = mesh.nodes[:-1, None] + mesh.h * _SIMPSON_OFFSETS[None, :]
         object.__setattr__(self, "sample_points", _readonly(pts.reshape(-1)))
         object.__setattr__(self, "sample_weights", _readonly(np.tile(mesh.h * _SIMPSON_WEIGHTS, mesh.n_elements)))
-        object.__setattr__(self, "_table", [])  # holds sample_values once built
-
-    @property
-    def sample_values(self) -> np.ndarray:
-        if not self._table:
-            self._table.append(_sample_values(self.operator.mesh, self.vectors))
-        return self._table[0]
 
     @property
     def dim(self) -> int:
@@ -519,48 +529,40 @@ class EigenBasis:
         return float(self.eigenvalues[self.k])
 
     def with_k(self, k: int) -> "EigenBasis":
-        """Same decomposition and sample table, different split index."""
-        other = replace(self, k=k)
-        object.__setattr__(other, "_table", self._table)
-        return other
+        """Same decomposition, different split index."""
+        return replace(self, k=k)
 
     def sample(self, coeffs: np.ndarray, modes=slice(None)) -> np.ndarray:
         """Values at the sample points of the field with these coefficients."""
-        return self.sample_values[:, modes] @ coeffs
+        # ndarray.dot: half of matmul's per-call cost on the small products
+        full = np.zeros(len(self.vectors) + 2)
+        full[1:-1] = self.vectors[:, modes].dot(coeffs)
+        return (full[:-1, None] * _HATS[0] + full[1:, None] * _HATS[1]).reshape(-1)
 
     def gather(self, values: np.ndarray, modes=slice(None)) -> np.ndarray:
         """Integrals of the sampled values against each eigenfunction."""
-        return self.sample_values[:, modes].T @ (self.sample_weights * values)
+        per_element = (self.sample_weights * values).reshape(-1, 5).dot(_HATS.T)
+        # interior node i is the left node of element i, the right of i - 1
+        return self.vectors[:, modes].T.dot(per_element[1:, 0] + per_element[:-1, 1])
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.sample_weights @ values)
 
     def gram(self, values: np.ndarray, modes=slice(None)) -> np.ndarray:
-        """Integrals of values * phi_i * phi_j; a boolean mask takes the
-        cheaper factored product of the masked, weighted rows."""
-        s = self.sample_values[:, modes]
-        if values.dtype == bool:
-            r = s * np.sqrt(self.sample_weights * values)[:, None]
-            return r.T @ r
-        return s.T @ ((self.sample_weights * values)[:, None] * s)
+        """Integrals of values * phi_i * phi_j."""
+        per_element = (self.sample_weights * values).reshape(-1, 5).dot(_HAT_PRODUCTS.T)
+        diag, off = per_element[1:, 0] + per_element[:-1, 1], per_element[1:-1, 2]
+        v = self.vectors[:, modes]
+        tv = diag[:, None] * v
+        tv[:-1] += off[:, None] * v[1:]
+        tv[1:] += off[:, None] * v[:-1]
+        return v.T.dot(tv)
 
     def coeffs_from_nodal(self, nodal: np.ndarray) -> np.ndarray:
         return self.vectors.T @ (self.operator.mass @ nodal)
 
     def nodal_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return self.vectors @ coeffs
-
-
-def _sample_values(mesh: Mesh1D, vectors: np.ndarray) -> np.ndarray:
-    """Eigenfunction values on the 5-point-per-element Simpson grid."""
-    n, N = mesh.n_elements, mesh.interior_dim
-    full = np.zeros((n + 1, N))
-    full[1:-1, :] = vectors
-    xi = _SIMPSON_OFFSETS
-    vals = ((1.0 - xi)[None, :, None] * full[:-1, None, :] + xi[None, :, None] * full[1:, None, :]).reshape(
-        -1, N
-    )
-    return _readonly(vals)
 
 
 @single_threaded()

@@ -40,14 +40,15 @@ from .errors import (
     MissingLimits,
     RegimeViolation,
 )
-from .operator import CheckReport, ConditionCheck, EigenBasis, Field, to_field
+from .operator import CheckReport, ConditionCheck, EigenBasis, Field, _config_number, _config_numbers, to_field
 from .spectrum import (
     FucikParams,
     FucikPoint,
     _energy_arrays,
-    _gradient_arrays,
     _maximize_t,
+    _neg,
     _negate,
+    _pos,
     beta_of_alpha,
     maximize_low,
     minimize_on_sphere,
@@ -421,7 +422,7 @@ def build_problem(
 
 
 # E and its gradient at coeffs, whose field takes the values u_s on the
-# basis's sample grid: one sample product serves both
+# basis's sample grid: the value integrates u_s, the gradient makes one gather
 
 
 def _forcing_integral(problem: SemilinearProblem, u_s: np.ndarray) -> float:
@@ -436,8 +437,8 @@ def _semilinear_value(problem: SemilinearProblem, coeffs: np.ndarray, u_s: np.nd
 
 def _semilinear_gradient_coeffs(problem: SemilinearProblem, coeffs: np.ndarray, u_s: np.ndarray) -> np.ndarray:
     p = problem.params
-    g = _gradient_arrays(p.basis, p.alpha, p.beta, coeffs, u_s)
-    return g - p.basis.gather(problem.nonlinearity.evaluate(u_s)) - problem.h.coeffs
+    rep = p.alpha * _pos(u_s) - p.beta * _neg(u_s) + problem.nonlinearity.evaluate(u_s)
+    return p.basis.eigenvalues * coeffs - p.basis.gather(rep) - problem.h.coeffs
 
 
 def semilinear_energy(problem: SemilinearProblem, u: Field) -> float:
@@ -585,9 +586,10 @@ class SaddleResult:
 def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.ndarray, tol: float):
     """Damped Newton max of E(u + v) over the low subspace.
 
-    The shared low-subspace kernel with the problem's forcing; returns
-    (t, grad_norm, iterations, delta_eff), delta_eff being the worst observed
-    concavity ratio along accepted iterate pairs (positive = still concave).
+    The shared low-subspace kernel with the problem's forcing; returns its
+    (t, grad_norm, iterations, delta_eff, u, value), delta_eff being the
+    worst observed concavity ratio along accepted iterate pairs (positive =
+    still concave), value E at u less v's quadratic term.
     """
     forcing = (problem.nonlinearity, problem.h)
     v_samples = problem.params.basis.sample(v_coeffs)
@@ -692,18 +694,11 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
     delta_eff = math.inf
     iterations = 0
 
-    def composite(v_high, t_low):
-        c = np.zeros(basis.dim)
-        c[:k] = t_low
-        c[k:] = v_high
-        return c
-
     def reduced_eval(v_high, warm_t):
-        v_full = composite(v_high, np.zeros(k))
-        t_new, _, _, deff = _maximize_low_E(problem, v_full, warm_t, inner_tol)
-        c = composite(v_high, t_new)
-        u_s = basis.sample(c)
-        val = _semilinear_value(problem, c, u_s)
+        c = np.concatenate([np.zeros(k), v_high])
+        t_new, _, _, deff, u_s, val = _maximize_low_E(problem, c, warm_t, inner_tol)
+        c[:k] = t_new
+        val += 0.5 * float(lam[k:] @ v_high**2)
         return val, _semilinear_gradient_coeffs(problem, c, u_s), t_new, c, u_s, deff
 
     val, g_full, t_warm, c_cur, u_cur, deff = reduced_eval(v, t_warm)
@@ -835,9 +830,9 @@ def _field_from_spec(basis: EigenBasis, spec) -> Field:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("forcing spec must be one of {coeffs | nodal | named}")
     if "coeffs" in spec:
-        return to_field(basis, coeffs=np.asarray(spec["coeffs"], dtype=float))
+        return to_field(basis, coeffs=np.array(_config_numbers(spec["coeffs"], "h coeffs")))
     if "nodal" in spec:
-        return to_field(basis, nodal=np.asarray(spec["nodal"], dtype=float))
+        return to_field(basis, nodal=np.array(_config_numbers(spec["nodal"], "h nodal")))
     if "named" in spec:
         name = spec["named"]
         if not (isinstance(name, str) and name.startswith("phi_")):
@@ -868,7 +863,7 @@ def problem_from_dict(basis: EigenBasis, doc: dict, seed: int = 0) -> Semilinear
     if unknown:
         raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
     try:
-        alpha = float(doc["alpha"])
+        alpha = _config_number(doc["alpha"], "alpha")
         beta_spec = doc["beta"]
         f_spec = doc["f"]
         h_spec = doc["h"]
@@ -876,25 +871,26 @@ def problem_from_dict(basis: EigenBasis, doc: dict, seed: int = 0) -> Semilinear
         raise ConfigError(f"problem document missing key {exc}") from exc
 
     if "k" in doc:
-        basis = basis.with_k(int(doc["k"]))
+        if isinstance(doc["k"], bool) or not isinstance(doc["k"], int):
+            raise ConfigError(f"k must be an integer, got {doc['k']!r}")
+        basis = basis.with_k(doc["k"])
+    limits = _config_numbers(doc["f_limits"], "f_limits", count=2) if "f_limits" in doc else None
 
     if isinstance(f_spec, dict) and "name" in f_spec:
         name = f_spec["name"]
-        if name not in _BUILTIN_NONLINEARITIES:
+        if not isinstance(name, str) or name not in _BUILTIN_NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity {name!r}; builtins: {sorted(_BUILTIN_NONLINEARITIES)}")
         nl = _BUILTIN_NONLINEARITIES[name]()
+        if limits is not None and (abs(limits[0] - nl.limit_left) > 1e-12 or abs(limits[1] - nl.limit_right) > 1e-12):
+            raise ConfigError("declared f_limits contradict the builtin nonlinearity")
     elif isinstance(f_spec, dict) and "table" in f_spec:
         table = f_spec["table"]
-        nl = Nonlinearity.from_table(
-            table["points"], table["values"], limits=tuple(doc["f_limits"]) if "f_limits" in doc else None
-        )
+        if not isinstance(table, dict) or not {"points", "values"} <= set(table):
+            raise ConfigError("table spec must hold points and values")
+        points = _config_numbers(table["points"], "table points")
+        nl = Nonlinearity.from_table(points, _config_numbers(table["values"], "table values"), limits=limits)
     else:
         raise ConfigError("f spec must carry a builtin name or a table")
-
-    if "f_limits" in doc and isinstance(f_spec, dict) and "name" in f_spec:
-        fl, fr = (float(x) for x in doc["f_limits"])
-        if abs(fl - nl.limit_left) > 1e-12 or abs(fr - nl.limit_right) > 1e-12:
-            raise ConfigError("declared f_limits contradict the builtin nonlinearity")
 
     h = _field_from_spec(basis, h_spec)
 
@@ -903,6 +899,6 @@ def problem_from_dict(basis: EigenBasis, doc: dict, seed: int = 0) -> Semilinear
         root = beta_of_alpha(alpha, basis, seed=seed)
         beta = root.beta
     else:
-        beta = float(beta_spec)
+        beta = _config_number(beta_spec, "beta")
     params = FucikParams(alpha=alpha, beta=beta, basis=basis)
     return build_problem(params, nl, h, seed=seed, root=root)

@@ -23,14 +23,14 @@ quadratic obtained by freezing the positive/negative sample pattern and
 accepts only true decreases; a start that is already stationary is returned
 after one evaluation.  A start it leaves above the stationarity
 tolerance falls back to projected gradient descent and a second refinement.
-Each reduced evaluation makes one sample product and one gather, because the
-composite samples formed from the partial maximizer give the value, the
-gradient and the sign pattern.  Both steps hand back the evaluation they
-accepted, so the returned point and its slope in beta are the chosen start's
-own evaluation and no point is evaluated twice.  All quadratures use the
-basis's shared per-element Simpson rule, which integrates products of
-piecewise-linear fields exactly; several identities in the tests (diagonal
-case, concavity constant) hold to machine precision because of this.
+Each reduced evaluation samples its high field once; the low-subspace
+Newton hands back the value and the composite samples at its maximizer,
+which give the gradient (one gather) and the sign pattern.  Both steps hand back
+the evaluation they accepted, so no point is evaluated twice.  Quadratures
+use the basis's per-element Simpson rule, which integrates products of
+piecewise-linear fields exactly, through the hat interpolation P and the
+tridiagonal hat-product matrix T (Hessians V^T T V); several identities in
+the tests (diagonal case, concavity constant) hold to machine precision.
 """
 
 from __future__ import annotations
@@ -229,9 +229,11 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
     which the bounded f can locally spoil, so a non-ascent step falls back to
     a gradient step.  Without forcing a stall above tol_grad raises
     MaxIterations; with it the caller judges the returned gradient norm.
-    Returns (t, gradient_norm, iterations, delta_eff), delta_eff being the
-    worst observed concavity ratio along accepted iterate pairs when forced
-    (inf without forcing, where delta is known and maximize_low checks it).
+    Returns (t, gradient_norm, iterations, delta_eff, u, value): delta_eff
+    is the worst observed concavity ratio along accepted iterate pairs when
+    forced (inf without forcing, where maximize_low checks delta); u holds
+    the composite samples v_samples + sample(t, low) at the returned t, and
+    value the objective there less the high modes' quadratic term.
     """
     basis, alpha, beta = params.basis, params.alpha, params.beta
     k = params.k
@@ -303,7 +305,7 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
             best=t,
             residual=gn,
         )
-    return t, gn, it, delta_eff
+    return t, gn, it, delta_eff, u, val
 
 
 def maximize_low(params: FucikParams, v: Field, warm: np.ndarray | None = None) -> Field:
@@ -385,21 +387,20 @@ class _SphereSolver:
         self.basis = params.basis
         self.k = params.k
         self.lam = self.basis.eigenvalues
-        self.low, self.high = slice(self.k), slice(self.k, None)
+        self.high = slice(self.k, None)
         self.t_warm = np.zeros(self.k)
 
     def eval(self, vh: np.ndarray):
         """Reduced value, tangential gradient, full coefficients and composite
-        samples at unit vh: one sample product and one gather."""
+        samples at unit vh: one high sample product, the low-subspace Newton
+        (whose last samples and value are reused), and one gather."""
         p, k, basis = self.params, self.k, self.basis
         coeffs = np.zeros(basis.dim)
         coeffs[k:] = vh
-        v_samples = basis.sample(vh, self.high)
-        t = _maximize_t(p, v_samples, self.t_warm)[0]
+        t, _, _, _, u, val = _maximize_t(p, basis.sample(vh, self.high), self.t_warm)
         self.t_warm = t
         coeffs[:k] = t
-        u = v_samples + basis.sample(t, self.low)
-        val = _energy_arrays(basis, p.alpha, p.beta, coeffs, u)
+        val += 0.5 * float(self.lam[k:] @ vh**2)
         grad = self.lam[k:] * vh - basis.gather(p.alpha * _pos(u) - p.beta * _neg(u), self.high)
         tangential = grad - (2.0 * val) * vh
         return val, tangential, coeffs, u

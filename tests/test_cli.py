@@ -305,6 +305,48 @@ def test_malformed_config_leaves_no_files(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, flags", [
+    ({"domain": "ab"}, []),
+    ({"domain": [0, "x"]}, []),
+    ({"domain": 3}, []),
+    ({"tolerances": {"beta": "x"}}, []),
+    ({"tolerances": [1]}, []),
+    ({"tolerances": [1]}, ["--tol-beta", "1e-6"]),
+], ids=["domain-string", "domain-entry", "domain-number", "tolerance-string", "tolerances-list",
+        "tolerances-list-with-flag"])
+def test_malformed_config_entry_exits_2(tmp_path, capsys, entry, flags):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"mode": "eigen", "elements": 8, **entry}))
+    out = tmp_path / "never"
+    assert _run(["--config", str(bad), "--out", str(out), *flags]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_TABLE = {"table": {"points": [-1.0, 1.0], "values": [-1.0, 1.0]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"alpha": "x"},
+    {"k": "two"},
+    {"f_limits": [1]},
+    {"f_limits": [-1.0], "f": _TABLE},
+    {"beta": [2.0]},
+    {"f": {"table": {"points": [-1.0, 1.0]}}},
+    {"f": {"table": {"points": [-1.0, "x"], "values": [-1.0, 1.0]}}},
+    {"h": {"coeffs": ["a"]}},
+], ids=["alpha-string", "k-string", "f_limits-single", "table-f_limits-single", "beta-list",
+        "table-without-values", "table-point-string", "h-coeffs-string"])
+def test_malformed_problem_exits_2(tmp_path, capsys, change):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"alpha": 2.0, "beta": 2.0, "f": {"name": "tanh"},
+                                "h": {"named": "phi_1"}, **change}))
+    out = tmp_path / "never"
+    assert _run(["--mode", "solve", "--elements", "8", "--problem", str(prob), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     args = ["--mode", "curve", "--elements", "48", "--alpha-samples", "4", "--seed", "3"]
     out1, out2 = tmp_path / "one", tmp_path / "two"

@@ -1,6 +1,7 @@
 """Assembly, kernel validation, eigen-decomposition, and field plumbing."""
 
 import ast
+import functools
 import json
 import math
 import os
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fucik
+from table_reference import assert_close, sample_table
 
 
 def _fractional_basis(n_elements=32, s=0.5, k=1, a=-1.0, b=1.0, scale=1.0):
@@ -452,47 +456,84 @@ def test_sample_grid_shape(frac32):
     n = frac32.operator.mesh.n_elements
     assert frac32.sample_points.shape == (5 * n,)
     assert frac32.sample_weights.shape == (5 * n,)
-    assert frac32.sample_values.shape == (5 * n, frac32.dim)
+    assert sample_table(frac32).shape == (5 * n, frac32.dim)
+    assert frac32.sample(np.ones(frac32.dim)).shape == (5 * n,)
     length = frac32.operator.mesh.b - frac32.operator.mesh.a
     assert abs(float(np.sum(frac32.sample_weights)) - length) <= 1e-12 * length
 
 
-def test_sample_table_built_on_first_read(tmp_path):
-    basis = _fractional_basis(16, k=2)
-    fucik.basis_document(basis)
-    path = tmp_path / "basis.json"
-    fucik.save_basis(basis, str(path))
-    loaded = fucik.load_basis(str(path), k=2)
-    assert not basis._table and not loaded._table
-    table = loaded.with_k(1).sample_values
-    assert loaded.sample_values is table
-    assert loaded.with_k(3).sample_values is table
-    assert not table.flags.writeable
-
-
 @pytest.mark.parametrize("part", ["full", "low", "high"])
 def test_sample_methods_are_the_table_expressions(frac32, part):
+    # the hat-function products agree with the table's to RTOL
     basis = frac32.with_k(3)
     modes = {"full": slice(None), "low": slice(3), "high": slice(3, None)}[part]
-    table, w = basis.sample_values, basis.sample_weights
-    s = table if part == "full" else table[:, modes]
+    table, w = sample_table(basis), basis.sample_weights
+    s = table[:, modes]
     rng = np.random.default_rng(23)
     c = rng.standard_normal(s.shape[1])
     values = rng.standard_normal(w.shape[0])
     mask = values > 0.0
-    assert np.array_equal(basis.sample(c, modes), s @ c)
-    assert np.array_equal(basis.gather(values, modes), s.T @ (w * values))
+    assert_close(basis.sample(c, modes), s @ c)
+    assert_close(basis.gather(values, modes), s.T @ (w * values))
     assert basis.integrate(values) == float(w @ values)
-    assert np.array_equal(basis.gram(values, modes), s.T @ ((w * values)[:, None] * s))
+    assert_close(basis.gram(values, modes), s.T @ ((w * values)[:, None] * s))
     sneg = s * np.sqrt(w * mask)[:, None]
-    assert np.array_equal(basis.gram(mask, modes), sneg.T @ sneg)
-    dense = basis.gram(mask.astype(float), modes)
-    assert np.max(np.abs(basis.gram(mask, modes) - dense)) <= 1e-14 * np.max(np.abs(dense))
+    assert_close(basis.gram(mask, modes), sneg.T @ sneg)
+    assert np.array_equal(basis.gram(mask, modes), basis.gram(mask.astype(float), modes))
+
+
+@functools.cache
+def _property_basis(n_elements):
+    return _fractional_basis(n_elements, k=min(3, n_elements - 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_elements=st.integers(min_value=4, max_value=257),
+    part=st.sampled_from(["full", "low", "high"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sample_methods_are_adjoint_quadratures(n_elements, part, seed):
+    # sample, gather and gram are one quadrature of the field products, so
+    # without a table: c . gather(v) = int v u and gram(v) c = gather(v u)
+    # for u = sample(c), to 1e-13 of the Cauchy-Schwarz bounds int |v u|
+    # and ||v u|| (the eigenfunctions are L2-orthonormal)
+    basis = _property_basis(n_elements)
+    k = basis.k
+    modes = {"full": slice(None), "low": slice(k), "high": slice(k, None)}[part]
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(basis.vectors[:, modes].shape[1])
+    values = rng.standard_normal(basis.sample_weights.shape[0])
+    u = basis.sample(c, modes)
+    pairing = float(c @ basis.gather(values, modes))
+    assert abs(pairing - basis.integrate(values * u)) <= 1e-13 * basis.integrate(np.abs(values * u))
+    bound = math.sqrt(basis.integrate((values * u) ** 2))
+    diff = basis.gram(values, modes) @ c - basis.gather(values * u, modes)
+    assert float(np.max(np.abs(diff))) <= 1e-13 * bound
+    mask = values > 0.0
+    assert np.array_equal(basis.gram(mask, modes), basis.gram(mask.astype(float), modes))
+
+
+def test_sphere_solve_forms_no_sample_table():
+    # the 5n x N table of eigenfunction samples was once built on the first
+    # sphere solve and kept; no solve may now allocate as much as it
+    n = 513
+    basis = _fractional_basis(n)
+    alpha = 0.5 * (basis.lambda_k + basis.lambda_k1)
+    params = fucik.FucikParams(alpha=alpha, beta=1.5 * basis.lambda_k1, basis=basis)
+    tracemalloc.start()
+    try:
+        fucik.minimize_on_sphere(params, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * basis.dim * 8
 
 
 def test_only_operator_reads_the_sample_table():
     # the other modules go through EigenBasis.sample/gather/integrate/gram,
-    # so a second representation of the basis needs to change one module
+    # so a second representation of the basis needs to change one module;
+    # sample_values names the table the basis no longer keeps
     names = {"sample_values", "sample_weights"}
     offenders = []
     for path in sorted(Path(fucik.__file__).parent.glob("*.py")):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fucik
+from table_reference import assert_close, sample_table
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +386,7 @@ def test_low_max_of_E_with_zero_forcing_is_low_max_of_J(kernel, domain, k):
     from fucik.spectrum import _maximize_t
 
     b = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(*domain, 24)), k=k)
+    table = sample_table(b)
     gap = b.lambda_k1 - b.lambda_k
     params = fucik.FucikParams(alpha=b.lambda_k + 0.3 * gap, beta=b.lambda_k + 0.9 * gap, basis=b)
     prob = fucik.build_problem(params, fucik.Nonlinearity.zero(), _zero_field(b))
@@ -393,13 +395,21 @@ def test_low_max_of_E_with_zero_forcing_is_low_max_of_J(kernel, domain, k):
         c = np.zeros(b.dim)
         c[k:] = scale * rng.standard_normal(b.dim - k)
         t0 = rng.standard_normal(k)
-        v_samples = b.sample_values @ c
+        v_samples = b.sample(c)
+        assert_close(v_samples, table @ c)
         tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
-        t_j, gn_j, it_j, _ = _maximize_t(params, v_samples, t0)
-        t_e, gn_e, it_e, _ = _maximize_low_E(prob, c, t0, tol)
+        t_j, gn_j, it_j, _, u_j, val_j = _maximize_t(params, v_samples, t0)
+        t_e, gn_e, it_e, _, u_e, val_e = _maximize_low_E(prob, c, t0, tol)
         assert it_j > 0
         assert np.array_equal(t_e, t_j)
-        assert (gn_e, it_e) == (gn_j, it_j)
+        assert (gn_e, it_e, val_e) == (gn_j, it_j, val_j)
+        assert np.array_equal(u_e, u_j)
+        c[:k] = t_j
+        assert_close(u_j, table @ c)
+        # value leaves out the high modes' quadratic term
+        energy = fucik.semilinear_energy(prob, fucik.to_field(b, coeffs=c))
+        high = 0.5 * float(b.eigenvalues[k:] @ c[k:] ** 2)
+        assert abs(val_j + high - energy) <= 1e-13 * float(b.eigenvalues @ c**2)
 
 
 def test_solve_linear_fredholm(basis):
@@ -479,15 +489,19 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
     points = [e.tobytes() for e in events if e is not None]
     assert len(set(points)) == len(points)
     # every full-width sample product is an inner maximization's high field
-    # or a gradient's point, whose E value shares it
-    assert len(products) == len(events)
+    # or a phase-2 gradient's point, whose E value shares it; a phase-1
+    # gradient follows its inner maximization and reuses the samples that
+    # maximization returns
+    reused = sum(1 for a, b in zip(events, events[1:]) if a is None and b is not None)
+    assert reused > 0
+    assert len(products) == len(events) - reused
 
 
 def _per_term_value_and_gradient(prob, c):
-    # E and its gradient as composed before, from the raw table: J, the
+    # E and its gradient as composed before, from the sample table: J, the
     # forcing integral, J's gradient and the forcing gather each sampled c
     p, basis, nl = prob.params, prob.params.basis, prob.nonlinearity
-    s, w, lam = basis.sample_values, basis.sample_weights, basis.eigenvalues
+    s, w, lam = sample_table(basis), basis.sample_weights, basis.eigenvalues
     u = s @ c
     j = 0.5 * (float(lam @ c**2) - p.alpha * float(w @ np.maximum(u, 0.0) ** 2)
                - p.beta * float(w @ np.maximum(-u, 0.0) ** 2))
@@ -501,6 +515,8 @@ def _per_term_value_and_gradient(prob, c):
 
 @pytest.mark.parametrize("ctor", [fucik.Nonlinearity.tanh, fucik.Nonlinearity.atan_scaled])
 def test_E_value_and_gradient_from_one_sample_product(basis, ctor):
+    # the value and gradient at coeffs both come from its one sample
+    # product, and agree with the per-term table composition to RTOL
     from fucik.semilinear import _semilinear_gradient_coeffs, _semilinear_value
 
     prob = _nonres_problem(basis, ctor(), _field(basis, [0.3, -0.2, 0.1]), frac=0.3)
@@ -509,11 +525,11 @@ def test_E_value_and_gradient_from_one_sample_product(basis, ctor):
         c = scale * rng.standard_normal(basis.dim)
         val, grad = _per_term_value_and_gradient(prob, c)
         u_s = basis.sample(c)
-        assert _semilinear_value(prob, c, u_s) == val
-        assert np.array_equal(_semilinear_gradient_coeffs(prob, c, u_s), grad)
+        assert_close(_semilinear_value(prob, c, u_s), val)
+        assert_close(_semilinear_gradient_coeffs(prob, c, u_s), grad)
         u = fucik.to_field(basis, coeffs=c)
-        assert fucik.semilinear_energy(prob, u) == val
-        assert np.array_equal(fucik.semilinear_gradient(prob, u).coeffs, grad)
+        assert fucik.semilinear_energy(prob, u) == _semilinear_value(prob, c, u_s)
+        assert np.array_equal(fucik.semilinear_gradient(prob, u).coeffs, _semilinear_gradient_coeffs(prob, c, u_s))
 
 
 def test_solve_detects_diverging_ray(basis):

@@ -9,6 +9,7 @@ import pytest
 
 import fucik
 from fucik import spectrum
+from table_reference import sample_table
 
 
 @pytest.fixture(scope="module")
@@ -351,12 +352,12 @@ def test_sphere_warm_continuation_matches_multistart(local1):
 
 
 class _ReferenceSolver(spectrum._SphereSolver):
-    """The sphere solver with the earlier evaluation: full sample products
-    for the energy, the gradient and the composite field."""
+    """The sphere solver with the earlier evaluation: full products with the
+    sample table for the energy, the gradient and the composite field."""
 
     def eval(self, vh):
         p, k, basis = self.params, self.k, self.basis
-        s = basis.sample_values
+        s = sample_table(basis)
         coeffs = np.zeros(basis.dim)
         coeffs[k:] = vh
         t = spectrum._maximize_t(p, s[:, k:] @ vh, self.t_warm)[0]
