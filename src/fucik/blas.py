@@ -1,8 +1,9 @@
 """A scoped single-threaded OpenBLAS for the solver loops and the eigensolve.
 
 numpy and scipy each load their own OpenBLAS (numpy's build has 64-bit
-integer symbols).  The sphere and saddle loops make thousands of small gemv,
-Cholesky and symmetric-solve calls, on which a thread pool only spins, and
+integer symbols).  The sphere and saddle loops make thousands of small gemv
+calls and small Cholesky and eigensolver calls (LAPACK handles that spectrum
+binds once from scipy's library), on which a thread pool only spins, and
 the dense eigensolve at the sizes the CLI uses is slower with both pools
 awake than on one thread, so all of them run inside single_threaded(): it
 sets both pools to one thread and restores the previous counts on exit.  Scopes nest; the counts are

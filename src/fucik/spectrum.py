@@ -31,6 +31,9 @@ use the basis's per-element Simpson rule, which integrates products of
 piecewise-linear fields exactly, through the hat interpolation P and the
 tridiagonal hat-product matrix T (Hessians V^T T V); several identities in
 the tests (diagonal case, concavity constant) hold to machine precision.
+The small factorizations (the k x k Newton systems, the frozen step's
+Cholesky of -h11 and the lowest eigenpair of its Schur complement) go through
+LAPACK handles (potrf, potrs, syevr) bound once at import.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .blas import single_threaded
 from .errors import (
@@ -49,6 +52,9 @@ from .errors import (
     MaxIterations,
 )
 from .operator import EigenBasis, Field, to_field
+
+# at these sizes scipy.linalg's checking wrappers cost more than the arithmetic
+_potrf, _potrs, _syevr = get_lapack_funcs(("potrf", "potrs", "syevr"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -257,24 +263,24 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
     t = np.asarray(t0, dtype=float).copy()
     val, grad, u = value_grad(t)
     if tol is None:
-        tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
+        tol = 1e-4 * params.tol_grad * (1.0 + math.sqrt(v_samples.dot(v_samples)))
     delta_eff = math.inf
     it = 0
     while it < _LOW_NEWTON_ITERS:
-        gn = float(np.linalg.norm(grad))
+        gn = math.sqrt(grad.dot(grad))
         if gn <= tol:
             break
-        # generalized Hessian with the alpha branch on u >= 0
+        # minus the generalized Hessian, with the alpha branch on u >= 0
         sel = np.where(u > 0.0, alpha, beta)
         if nl is not None:
             sel = sel + nl.derivative(u)
-        h = np.diag(lam1) - basis.gram(sel, low)
-        try:
-            factor = scipy.linalg.cho_factor(-h, check_finite=False)
-            step = scipy.linalg.cho_solve(factor, grad, check_finite=False)
+        neg_h = basis.gram(sel, low)
+        neg_h.reshape(-1)[:: k + 1] -= lam1
+        factor, info = _potrf(neg_h, clean=0)
+        slope = 0.0
+        if info == 0:
+            step = _potrs(factor, grad)[0]
             slope = float(grad @ step)
-        except scipy.linalg.LinAlgError:
-            slope = 0.0
         if slope <= 0.0:
             step = grad / (beta + basis.lambda_k + bound)
             slope = float(grad @ step)
@@ -285,7 +291,7 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
         while theta > 1e-10:
             t_new = t + theta * step
             val_new, grad_new, u_new = value_grad(t_new)
-            if val_new >= val + 0.3 * theta * slope or float(np.linalg.norm(grad_new)) <= 0.5 * gn:
+            if val_new >= val + 0.3 * theta * slope or math.sqrt(grad_new.dot(grad_new)) <= 0.5 * gn:
                 accepted = True
                 break
             theta *= 0.5
@@ -298,7 +304,7 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
                 delta_eff = min(delta_eff, -float((grad_new - grad) @ dt) / energy_sq)
         t, val, grad, u = t_new, val_new, grad_new, u_new
         it += 1
-    gn = float(np.linalg.norm(grad))
+    gn = math.sqrt(grad.dot(grad))
     if nl is None and gn > params.tol_grad:
         raise MaxIterations(
             f"low-subspace maximization stalled at gradient norm {gn:.3e}",
@@ -375,6 +381,19 @@ _DESCEND_ITERS = 80
 _FREEZE_ITERS = 40
 
 
+def _frozen_minimum(h: np.ndarray, k: int):
+    """(schur, mu, vec): the Schur complement of h's leading k x k block and
+    its lowest eigenpair, or None when a LAPACK call fails.  -h11 is
+    positive definite for a frozen Hessian (lambda_j < alpha <= beta for
+    j <= k); syevr reads the upper triangle of the complement."""
+    factor, info = _potrf(-h[:k, :k], clean=0)
+    if info:
+        return None
+    schur = h[k:, k:] + h[:k, k:].T @ _potrs(factor, h[:k, k:])[0]
+    mu, vec, _, _, info = _syevr(schur, range="I", il=1, iu=1)
+    return None if info else (schur, mu[0], vec[:, 0])
+
+
 class _SphereSolver:
     """One (alpha, beta) instance: reduced energy/gradient with warm starts.
 
@@ -409,14 +428,14 @@ class _SphereSolver:
         """Preconditioned projected gradient with a BB step and Armijo guard."""
         p, k = self.params, self.k
         pre = 1.0 / (self.lam[k:] - p.alpha + 1.0 + p.beta - p.alpha)
-        vh = vh / np.linalg.norm(vh)
+        vh = vh / math.sqrt(vh.dot(vh))
         ev = self.eval(vh)
         eta = 1.0
         prev_v, prev_g = None, None
         used = 0
         for _ in range(_DESCEND_ITERS):
             val, g = ev[0], ev[1]
-            gn = float(np.linalg.norm(g))
+            gn = math.sqrt(g.dot(g))
             if gn <= 0.3 * p.tol_grad:
                 break
             d = pre * g
@@ -432,7 +451,7 @@ class _SphereSolver:
             accepted = False
             for _ in range(25):
                 cand = vh - step * d
-                cand /= np.linalg.norm(cand)
+                cand /= math.sqrt(cand.dot(cand))
                 ev_new = self.eval(cand)
                 if ev_new[0] <= val - 1e-4 * step * float(g @ d):
                     accepted = True
@@ -463,21 +482,15 @@ class _SphereSolver:
         used = 0
         for _ in range(_FREEZE_ITERS):
             val, g = ev[0], ev[1]
-            gn = float(np.linalg.norm(g))
+            gn = math.sqrt(g.dot(g))
             if gn <= 0.05 * p.tol_grad:
                 break
             h = -(p.beta - p.alpha) * self.basis.gram(~pattern)
-            h[np.diag_indices_from(h)] += self.lam - p.alpha
-            h11 = h[:k, :k]
-            h12 = h[:k, k:]
-            try:
-                sol = scipy.linalg.solve(h11, h12, assume_a="sym", check_finite=False)
-            except scipy.linalg.LinAlgError:
+            h.reshape(-1)[:: len(h) + 1] += self.lam - p.alpha
+            frozen = _frozen_minimum(h, k)
+            if frozen is None:
                 break
-            schur = h[k:, k:] - h12.T @ sol
-            schur = 0.5 * (schur + schur.T)
-            mu, vec = scipy.linalg.eigh(schur, subset_by_index=[0, 0], check_finite=False)
-            v_new = vec[:, 0]
+            v_new = frozen[2]
             if float(v_new @ vh) < 0.0:
                 v_new = -v_new
             # accept on true-value decrease, or (near the optimum, where value
@@ -486,11 +499,11 @@ class _SphereSolver:
             theta = 1.0
             for _ in range(12):
                 cand = (1.0 - theta) * vh + theta * v_new
-                nrm = float(np.linalg.norm(cand))
+                nrm = math.sqrt(cand.dot(cand))
                 if nrm > 1e-12:
                     cand /= nrm
                     ev_new = self.eval(cand)
-                    if ev_new[0] < val - 1e-15 * (1.0 + abs(val)) or float(np.linalg.norm(ev_new[1])) < 0.5 * gn:
+                    if ev_new[0] < val - 1e-15 * (1.0 + abs(val)) or math.sqrt(ev_new[1].dot(ev_new[1])) < 0.5 * gn:
                         improved = True
                         break
                 theta *= 0.5
@@ -556,7 +569,7 @@ def minimize_on_sphere(
         # the frozen-pattern solve alone usually lands a stationary point;
         # descend only when its certificate is not yet met
         vh, ev, used = solver.freeze_refine(v0)
-        if float(np.linalg.norm(ev[1])) > params.tol_grad:
+        if math.sqrt(ev[1].dot(ev[1])) > params.tol_grad:
             vh, ev, used_a = solver.descend(vh)
             vh, ev, used_b = solver.freeze_refine(vh)
             used += used_a + used_b
@@ -570,7 +583,7 @@ def minimize_on_sphere(
     tied.sort(key=lambda r: abs(beta_slope(r[1][3])))
     vh, (val, g, coeffs, u) = tied[0]
 
-    residual = float(np.linalg.norm(g))
+    residual = math.sqrt(g.dot(g))
     if residual > params.tol_grad:
         raise MaxIterations(
             f"sphere minimization certificate failed: tangential gradient {residual:.3e}",

@@ -824,6 +824,18 @@ def test_trace_partial_branch_annotated(branch5, local1):
         assert "beta" in note
 
 
+@pytest.mark.parametrize("s, k", [(1e-3, 1), (1e-3, 2), (0.999, 1), (0.999, 2), (0.5, 4), (0.5, 8)])
+def test_trace_certifies_every_sample_at_the_edges(s, k):
+    # near s = 0 and s = 1 and in higher strips the margin lambda_k < alpha
+    # that the frozen step's Cholesky of -h11 relies on is thinnest
+    mesh = fucik.Mesh1D(-1.0, 1.0, 64)
+    basis = fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(s), mesh), k=k)
+    branch = fucik.trace_curve(basis, n_samples=3, seed=0)
+    assert branch.annotations == ()
+    assert len(branch.samples) == 3
+    assert all(abs(p.m_value) <= branch.tolerances["tol_m"] for p in branch.samples)
+
+
 @pytest.fixture(scope="module")
 def frac96_quarter():
     mesh = fucik.Mesh1D(-1.0, 1.0, 96)
