@@ -8,9 +8,10 @@ traced curve against the closed-form shooting construction (local kernel).
 Determinism contract: every artifact is a pure function of (config, seed,
 library version).  No timestamps are recorded; floats use shortest
 round-trip formatting; every file embeds the config hash, the seed, and the
-version.  All files for a run are computed first and then each is written to
-a uniquely named temp file and renamed into place, so a failing computation
-writes nothing and no file is ever seen half-written.
+version.  All files for a run are computed first, then each is written
+(JSON formatted as it is written) to a uniquely named temp file; only then
+are they renamed into place, so a failing computation or formatting writes
+nothing and no file is ever seen half-written.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ _CANVAS_W = 800
 _CANVAS_H = 600
 _MARGIN = {"left": 70.0, "right": 25.0, "top": 45.0, "bottom": 55.0}
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+# Array entries formatted per JSON chunk: few number strings alive at once.
+_JSON_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -222,28 +225,30 @@ def _jsonable(value):
     return value
 
 
-def _json_document(doc: dict) -> str:
-    """``json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\\n"`` for a non-empty doc.
+def _json_document(doc: dict):
+    """Yield ``json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\\n"`` in chunks.
 
-    json's indenting encoder is pure Python, so the top-level lists of finite
-    floats (the eigenvector table of basis.json) are joined from their reprs
-    directly, a block at a time to keep few number strings alive at once;
-    every other member goes through json.dumps.
+    json's indenting encoder is pure Python and returns the whole text, so a
+    top-level member that is a non-empty 1-D array of finite float64 (the
+    eigenvectors of basis.json) is formatted from its reprs one block of
+    _JSON_BLOCK entries at a time, and the text is never held whole; every
+    other member goes through json.dumps.
     """
-    parts = ["{"]
+    opener = "{"
     for key in sorted(doc):
         value = doc[key]
-        parts.append(f"\n  {json.dumps(key)}: ")
-        floats = isinstance(value, list) and value and all(type(v) is float for v in value)
-        if floats and all(map(math.isfinite, value)):
+        yield f"{opener}\n  {json.dumps(key)}: "
+        opener = ","
+        floats = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
+        if floats and value.size and np.isfinite(value).all():
             sep = ",\n    "
-            blocks = (sep.join(map(float.__repr__, value[i : i + 4096])) for i in range(0, len(value), 4096))
-            parts += ["[\n    ", sep.join(blocks), "\n  ]"]
+            for start in range(0, value.size, _JSON_BLOCK):
+                block = sep.join(map(float.__repr__, value[start : start + _JSON_BLOCK].tolist()))
+                yield (sep if start else "[\n    ") + block
+            yield "\n  ]"
         else:
-            parts.append(json.dumps(_jsonable(value), sort_keys=True, indent=2).replace("\n", "\n  "))
-        parts.append(",")
-    parts[-1] = "\n}\n"
-    return "".join(parts)
+            yield json.dumps(_jsonable(value), sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "\n}\n" if doc else "{}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +398,7 @@ def plot_svg(series: list, title: str = "", xlabel: str = "", ylabel: str = "", 
 
 
 # ---------------------------------------------------------------------------
-# mode runners (each returns ({filename: text}, exit_status))
+# mode runners (each returns ({filename: text or text chunks}, exit_status))
 
 
 def _run_eigen(cfg: RunConfig, prov: dict):
@@ -600,18 +605,18 @@ _MODE_RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one configured run and write its artifacts.
 
-    Artifacts are computed in full before anything is written, then each
-    file goes through its own temp-and-rename, so no half-written file
-    survives a failure.  The set is not swapped in as a whole: a crash
-    between two renames leaves some files from the previous run.  Returns
-    the process exit status (0 iff all requested checks passed).
+    Artifacts are computed in full, then each goes to its own temp file,
+    JSON formatted as it is written, before any is renamed into place, so a
+    failure while computing or formatting leaves --out untouched.  The set
+    is not swapped in as a whole: a crash between two renames leaves some
+    files from the previous run.  Returns the process exit status (0 iff
+    all requested checks passed).
     """
     prov = _provenance(config)
     artifacts, status = _MODE_RUNNERS[config.mode](config, prov)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(artifacts):
-        _write_atomic(out_dir / name, artifacts[name])
+    _write_atomic({out_dir / name: [a] if isinstance(a, str) else a for name, a in sorted(artifacts.items())})
     return status
 
 

@@ -570,7 +570,9 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     """Dense generalized symmetric eigensolve with deterministic signs.
 
     Runs on one BLAS thread: at the sizes the CLI uses, numpy's and scipy's
-    OpenBLAS pools contend for the cores and slow the solve down.  Raises
+    OpenBLAS pools contend for the cores and slow the solve down.  V is kept
+    in one C-ordered array, and each certificate V^T (X V) needs one N x N
+    temporary besides its own storage.  Raises
     FactorizationFailure when the mass matrix is not positive definite or
     the returned basis misses its orthonormality certificates, and
     DegenerateSplit when lambda_k and lambda_{k+1} coincide to tolerance.
@@ -579,18 +581,22 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
         lam, V = scipy.linalg.eigh(op.stiffness, op.mass)
     except scipy.linalg.LinAlgError as e:
         raise FactorizationFailure(f"generalized eigensolve failed: {e}") from e
-    # deterministic sign: largest-magnitude component positive
+    # deterministic sign: largest-magnitude component positive, applied in
+    # the C-ordered copy the basis keeps (LAPACK returns V F-ordered)
     idx = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0.0] = 1.0
-    V = V * signs[None, :]
+    V = np.multiply(V, signs, order="C")
 
-    gram = V.T @ op.mass @ V
-    ortho_defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    def defect(matrix: np.ndarray, diagonal) -> float:
+        cert = V.T @ (matrix @ V)
+        cert[np.diag_indices_from(cert)] -= diagonal
+        return float(np.max(np.abs(cert, out=cert)))
+
+    ortho_defect = defect(op.mass, 1.0)
     if ortho_defect > 1e-10:
         raise FactorizationFailure(f"basis not M-orthonormal (defect {ortho_defect:.2e})")
-    diag = V.T @ op.stiffness @ V
-    diag_defect = float(np.max(np.abs(diag - np.diag(lam))))
+    diag_defect = defect(op.stiffness, lam)
     if diag_defect > 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
         raise FactorizationFailure(f"basis does not diagonalize A (defect {diag_defect:.2e})")
     if lam[0] <= 0.0:
@@ -667,7 +673,8 @@ def split(u: Field) -> tuple[Field, Field]:
 
 
 def basis_document(basis: EigenBasis) -> dict:
-    """Versioned JSON document for an operator + basis."""
+    """Versioned JSON document for an operator + basis, its eigenvalues and
+    flattened vectors left as arrays (json.dumps needs default=np.ndarray.tolist)."""
     kernel = basis.operator.kernel
     if kernel.variant == "tabulated":
         raise ConfigError("tabulated kernels cannot be serialized")
@@ -681,48 +688,94 @@ def basis_document(basis: EigenBasis) -> dict:
             "lambda_K": kernel.lambda_K,
         },
         "mesh": {"a": mesh.a, "b": mesh.b, "n_elements": mesh.n_elements},
-        "eigenvalues": basis.eigenvalues.tolist(),
-        "vectors": basis.vectors.reshape(-1).tolist(),
+        "eigenvalues": basis.eigenvalues,
+        "vectors": basis.vectors.reshape(-1),
     }
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a uniquely named temp file in the target directory."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+def _write_atomic(files: dict) -> None:
+    """Write each {path: text chunks} through a uniquely named temp file beside it.
+
+    All are written before any is renamed, so a failure while producing one
+    leaves every target untouched; one between renames keeps the earlier ones.
+    """
+    temps = {}
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            # mkstemp creates the file owner-only; give it the mode open() would
-            mask = os.umask(0)
-            os.umask(mask)
-            os.fchmod(f.fileno(), 0o666 & ~mask)
-            f.write(text)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                # mkstemp creates the file owner-only; give it the mode open() would
+                mask = os.umask(0)
+                os.umask(mask)
+                os.fchmod(f.fileno(), 0o666 & ~mask)
+                f.writelines(chunks)
+        for path in files:
+            os.replace(temps[path], path)
+            del temps[path]
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def save_basis(basis: EigenBasis, path: str) -> None:
-    _write_atomic(Path(os.path.abspath(path)), json.dumps(basis_document(basis)))
+    text = json.dumps(basis_document(basis), default=np.ndarray.tolist)
+    _write_atomic({Path(os.path.abspath(path)): [text]})
+
+
+def _document_array(values, what: str, size: int) -> np.ndarray:
+    """A float array of `size` finite numbers from a document's list."""
+    if not isinstance(values, list) or len(values) != size:
+        got = f"{len(values)} entries" if isinstance(values, list) else type(values).__name__
+        raise ConfigError(f"{what} must be a list of {size} finite numbers, got {got}")
+    try:
+        array = np.array(values)
+    except ValueError:  # ragged nesting
+        array = np.empty(0)
+    if array.shape == (size,) and array.dtype.kind in "fiu" and np.isfinite(array).all():
+        return array.astype(float, copy=False)
+    for value in values:  # name the offending entry
+        _config_number(value, f"{what} entry")
+    raise ConfigError(f"{what} holds integers beyond 64 bits")
 
 
 def load_basis(path: str, k: int = 1) -> EigenBasis:
-    """Rebuild a basis from its document, reassembling the matrices."""
-    with open(path) as f:
-        doc = json.load(f)
+    """Rebuild a basis from its document, reassembling the matrices.
+
+    Raises ConfigError on a document that is not valid UTF-8 JSON, misses or
+    mistypes a member, holds an array of the wrong length (n eigenvalues and
+    n^2 vector entries for n interior nodes), or a non-finite number.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"basis document {path!r} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"basis document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported document version {doc.get('version')!r}")
-    kd = doc["kernel"]
-    if kd["variant"] == "local":
+    kd, md = doc.get("kernel"), doc.get("mesh")
+    if not isinstance(kd, dict) or not isinstance(md, dict):
+        raise ConfigError("basis document needs 'kernel' and 'mesh' objects")
+    if kd.get("variant") == "local":
         kernel = Kernel.local()
+    elif kd.get("variant") == "fractional":
+        s, scale, lambda_K = (_config_number(kd.get(name), f"kernel {name}") for name in ("s", "scale", "lambda_K"))
+        kernel = Kernel.fractional(s, scale=scale, lambda_K=lambda_K)
     else:
-        kernel = Kernel(variant=kd["variant"], s=kd["s"], scale=kd["scale"], lambda_K=kd["lambda_K"])
-    mesh = Mesh1D(a=doc["mesh"]["a"], b=doc["mesh"]["b"], n_elements=doc["mesh"]["n_elements"])
-    op = assemble(kernel, mesh)
+        raise ConfigError(f"cannot load kernel variant {kd.get('variant')!r}")
+    n_elements = md.get("n_elements")
+    if not isinstance(n_elements, int) or isinstance(n_elements, bool):
+        raise ConfigError(f"mesh n_elements must be an integer, got {n_elements!r}")
+    a, b = (_config_number(md.get(name), f"mesh {name}") for name in ("a", "b"))
+    mesh = Mesh1D(a=a, b=b, n_elements=n_elements)
     n = mesh.interior_dim
-    lam = np.array(doc["eigenvalues"], dtype=float)
-    V = np.array(doc["vectors"], dtype=float).reshape(n, n)
+    # the lengths bound n by the document's size before anything is assembled
+    lam = _document_array(doc.get("eigenvalues"), "eigenvalues", n)
+    V = _document_array(doc.get("vectors"), "vectors", n * n).reshape(n, n)
+    op = assemble(kernel, mesh)
     basis = EigenBasis(operator=op, eigenvalues=lam, vectors=V, k=k)
     # spot-check the loaded pairs against the reassembled matrices
     for j in (0, n // 2, n - 1):

@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fucik
-from fucik import semilinear, spectrum
+from fucik import cli, semilinear, spectrum
 
 
 def _read_csv(path):
@@ -369,14 +371,67 @@ def test_json_document_matches_indented_json_dumps(tmp_path):
     text = (out / "basis.json").read_text(encoding="utf-8")
     doc = json.loads(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    # the direct float-list path and the json.dumps path side by side
+    # the float-array path and the json.dumps path side by side
     docs = [
         doc,
+        {**doc, "eigenvalues": np.array(doc["eigenvalues"]), "vectors": np.array(doc["vectors"])},
         {"b": [1.0, float("nan")], "a": [1, 2.5], "c": [], "d": np.arange(3.0),
          "e": {"z": [0.1, -2e-300], "y": "x\ny"}, "f": [True, 0.5], "g": 1e22},
     ]
     for d in docs:
-        assert _json_document(d) == json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
+        assert "".join(_json_document(d)) == json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e22])
+
+
+@st.composite
+def _float_arrays(draw):
+    # lengths around the block size; a non-finite entry takes json.dumps
+    length = draw(st.sampled_from([0, 1, 4095, 4096, 4097, 8193]))
+    array = np.resize(np.array(draw(st.lists(_FINITE, min_size=1, max_size=8))), length)
+    if length and draw(st.booleans()):
+        array[draw(st.integers(0, length - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return array
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_MEMBERS = (
+    _float_arrays()
+    | st.lists(st.integers(-2**31, 2**31), max_size=4).map(lambda v: np.array(v, dtype=np.int64))
+    | st.lists(_FINITE, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
+    | _JSON_VALUES
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _MEMBERS, max_size=4))
+def test_json_chunks_join_to_indented_json_dumps(doc):
+    text = "".join(cli._json_document(doc))
+    assert text == json.dumps(cli._jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+def test_failed_formatting_leaves_out_untouched(tmp_path, monkeypatch):
+    # curve.json is formatted while its temp file is written, after
+    # curve.csv's temp file is complete; a failure there must leave the
+    # previous artifact set in place and no temp files
+    out = tmp_path / "curve"
+    argv = ["--mode", "curve", "--elements", "16", "--alpha-samples", "3", "--out", str(out)]
+    assert _run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing(doc):
+        yield "{"
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(cli, "_json_document", failing)
+    with pytest.raises(RuntimeError):
+        fucik.run(fucik.config_from_args(argv + ["--seed", "1"]))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_out_dir_holding_temp_names_is_written(tmp_path):
@@ -416,6 +471,22 @@ def test_module_entry_point_runs_without_warnings():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: fucik")
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "eigen", "--elements", "24"],
+    ["--mode", "curve", "--elements", "24", "--alpha-samples", "3"],
+], ids=["eigen", "curve"])
+def test_module_runs_clean_in_dev_mode(tmp_path, argv):
+    # -X dev reports unclosed files and other resource warnings, which
+    # -W error turns into a failing exit
+    src = Path(fucik.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "fucik", *argv,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
     assert done.stderr == ""
 
 

@@ -530,6 +530,23 @@ def test_sphere_solve_forms_no_sample_table():
     assert peak < 5 * n * basis.dim * 8
 
 
+def test_eigen_run_memory_is_the_eigensolve(tmp_path):
+    # basis.json is streamed from the eigenvector array and the certificates
+    # reuse their own storage, so an eigen run holds a few N x N arrays and
+    # never the document text or a list of N^2 floats
+    n = 513
+    cfg = fucik.RunConfig(mode="eigen", kernel="fractional:s=0.5", domain=(-1.0, 1.0),
+                          elements=n, out=str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert fucik.run(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = n - 1
+    assert peak <= 8 * dim * dim * 8
+
+
 def test_only_operator_reads_the_sample_table():
     # the other modules go through EigenBasis.sample/gather/integrate/gram,
     # so a second representation of the basis needs to change one module;
@@ -577,7 +594,9 @@ def test_saved_basis_mode_matches_plain_open(tmp_path):
             mode = stat.S_IMODE((out / "basis.json").stat().st_mode)
             assert mode == stat.S_IMODE((out / "plain").stat().st_mode) == 0o666 & ~mask
             assert sorted(p.name for p in out.iterdir()) == ["basis.json", "plain"]
-            assert (out / "basis.json").read_text() == json.dumps(fucik.basis_document(basis))
+            doc = {key: v.tolist() if isinstance(v, np.ndarray) else v
+                   for key, v in fucik.basis_document(basis).items()}
+            assert (out / "basis.json").read_text() == json.dumps(doc)
     finally:
         os.umask(previous)
 
@@ -589,6 +608,38 @@ def test_document_version_checked(tmp_path):
     doc = json.loads(path.read_text())
     doc["version"] = 99
     path.write_text(json.dumps(doc))
+    with pytest.raises(fucik.ConfigError):
+        fucik.load_basis(str(path))
+
+
+def _with(doc, *keys, value):
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
+_MALFORMED = {
+    "missing-kernel": lambda d: json.dumps({key: v for key, v in d.items() if key != "kernel"}),
+    "vectors-short": lambda d: json.dumps(_with(d, "vectors", value=d["vectors"][:-1])),
+    "vectors-string": lambda d: json.dumps(_with(d, "vectors", 0, value="x")),
+    "vectors-nan": lambda d: json.dumps(_with(d, "vectors", 0, value=float("nan"))),
+    "eigenvalues-short": lambda d: json.dumps(_with(d, "eigenvalues", value=d["eigenvalues"][:-1])),
+    "n-elements-string": lambda d: json.dumps(_with(d, "mesh", "n_elements", value="16")),
+    "a-null": lambda d: json.dumps(_with(d, "mesh", "a", value=None)),
+    "s-string": lambda d: json.dumps(_with(d, "kernel", "s", value="0.5")),
+    "top-level-list": lambda d: json.dumps([d]),
+    "truncated": lambda d: json.dumps(d)[:-20],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_refused(tmp_path, case):
+    basis = _fractional_basis(16)
+    path = tmp_path / "basis.json"
+    fucik.save_basis(basis, str(path))
+    path.write_text(_MALFORMED[case](json.loads(path.read_text())), encoding="utf-8")
     with pytest.raises(fucik.ConfigError):
         fucik.load_basis(str(path))
 
