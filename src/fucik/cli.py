@@ -33,6 +33,7 @@ from .operator import (
     Mesh1D,
     _config_number,
     _config_numbers,
+    _json_default,
     _write_atomic,
     assemble,
     basis_document,
@@ -208,25 +209,8 @@ def _csv_document(schema: str, columns: list, rows: list, prov: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _json_document(doc: dict):
-    """Yield ``json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\\n"`` in chunks.
+    """Yield ``json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\\n"`` in chunks.
 
     json's indenting encoder is pure Python and returns the whole text, so a
     top-level member that is a non-empty 1-D array of finite float64 (the
@@ -247,7 +231,7 @@ def _json_document(doc: dict):
                 yield (sep if start else "[\n    ") + block
             yield "\n  ]"
         else:
-            yield json.dumps(_jsonable(value), sort_keys=True, indent=2).replace("\n", "\n  ")
+            yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
     yield "\n}\n" if doc else "{}\n"
 
 

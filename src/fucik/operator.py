@@ -196,20 +196,18 @@ def _log_grid_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     return float(np.trapezoid(f(x) * x, t))
 
 
-def validate_kernel(kernel: Kernel, sample_count: int = 512) -> ValidationReport:
+def validate_kernel(kernel: Kernel) -> ValidationReport:
     """Check a kernel against the three admissibility conditions.
 
     (integrability) min(x^2, 1) * K integrable near 0 and at infinity,
     reported through truncated integrals and their refinement trend;
-    (lower bound)   K(x) * |x|^(1+2s) >= lambda_K on a sample grid;
+    (lower bound)   K(x) * |x|^(1+2s) >= lambda_K on a 512-point sample grid;
     (evenness)      K(x) = K(-x) on the sample grid.
 
     Sampling kernels that return a non-positive value raise NonPositiveKernel.
     The local variant has no pointwise kernel; its report records the three
     conditions as analytically satisfied in the classical limit.
     """
-    if sample_count < 16:
-        raise ConfigError("sample_count must be >= 16")
     if kernel.variant == "local":
         checks = tuple(
             ConditionCheck(name, True, {"note": "classical local mode, analytic"})
@@ -217,7 +215,7 @@ def validate_kernel(kernel: Kernel, sample_count: int = 512) -> ValidationReport
         )
         return ValidationReport(kernel=kernel, checks=checks)
 
-    mags = np.logspace(-6, 3, sample_count)
+    mags = np.logspace(-6, 3, 512)
     xs = np.concatenate([-mags[::-1], mags])
     vals = kernel.evaluate(xs)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
@@ -674,7 +672,7 @@ def split(u: Field) -> tuple[Field, Field]:
 
 def basis_document(basis: EigenBasis) -> dict:
     """Versioned JSON document for an operator + basis, its eigenvalues and
-    flattened vectors left as arrays (json.dumps needs default=np.ndarray.tolist)."""
+    flattened vectors left as arrays (json.dumps needs default=_json_default)."""
     kernel = basis.operator.kernel
     if kernel.variant == "tabulated":
         raise ConfigError("tabulated kernels cannot be serialized")
@@ -719,8 +717,15 @@ def _write_atomic(files: dict) -> None:
         raise
 
 
+def _json_default(value):
+    """json's default= hook: numpy arrays and scalars as their Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_basis(basis: EigenBasis, path: str) -> None:
-    text = json.dumps(basis_document(basis), default=np.ndarray.tolist)
+    text = json.dumps(basis_document(basis), default=_json_default)
     _write_atomic({Path(os.path.abspath(path)): [text]})
 
 

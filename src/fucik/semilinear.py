@@ -165,7 +165,7 @@ class Nonlinearity:
         )
 
     @classmethod
-    def from_table(cls, points, values, limits=None, bound=None) -> "Nonlinearity":
+    def from_table(cls, points, values, limits=None) -> "Nonlinearity":
         pts = np.asarray(points, dtype=float)
         vals = np.asarray(values, dtype=float)
         if pts.ndim != 1 or pts.shape != vals.shape or pts.size < 2:
@@ -178,8 +178,6 @@ class Nonlinearity:
         # exact and the sup over the whole line equal to the tabulated sup
         if abs(limits[0] - vals[0]) > 1e-12 or abs(limits[1] - vals[-1]) > 1e-12:
             raise ConfigError("declared limits must match the table edge values")
-        if bound is None:
-            bound = float(np.max(np.abs(vals)))
 
         # exact primitive of the interpolant: quadratic on each segment on top
         # of the cumulative trapezoid sums at the knots, linear on the tails
@@ -203,7 +201,7 @@ class Nonlinearity:
         return cls(
             name="table",
             func=lambda t: np.interp(np.asarray(t, dtype=float), pts, vals),
-            bound=float(bound),
+            bound=float(np.max(np.abs(vals))),
             limit_left=limits[0],
             limit_right=limits[1],
             antiderivative=lambda t: G(t) - g0,
@@ -228,16 +226,16 @@ class Nonlinearity:
 
     # -- certification ------------------------------------------------------
 
-    def validate(self, probe_count: int = 10000) -> "NonlinearityReport":
+    def validate(self) -> "NonlinearityReport":
         """Certify boundedness, F(0) = 0, F' = f, and |F(t)| <= bound * |t|.
 
-        The f bound runs on the full probe grid over [-1e6, 1e6].  The
+        The f bound runs on a 2000-point probe grid over [-1e6, 1e6].  The
         antiderivative checks run on the full grid, except for tables, which
         keep geometric probe sets: the dense grid lands on table knots.
         """
         checks = []
 
-        probes = np.linspace(-1e6, 1e6, probe_count)
+        probes = np.linspace(-1e6, 1e6, 2000)
         fmax = float(np.max(np.abs(self.evaluate(probes))))
         checks.append(
             ConditionCheck(
@@ -310,9 +308,10 @@ class SemilinearProblem:
     """Immutable description of one forced semilinear solve.
 
     curve_beta is the computed spectral-curve ordinate at alpha when the
-    classification needed it (None when a shortcut decided the regime);
-    eigenset holds L2-normalized spectrum eigenfunctions at (alpha, beta),
-    populated only in the resonance regime.
+    classification needed it (None when a shortcut decided the regime,
+    lambda_{k+1} at the diagonal resonance corner); eigenset holds the
+    L2-normalized spectrum eigenfunctions of the curve point that decided
+    the regime, populated only in the resonance regime.
     """
 
     params: FucikParams
@@ -331,20 +330,12 @@ class SemilinearProblem:
         return 1e-10
 
 
-def classify(params: FucikParams, seed: int = 0, root: FucikPoint | None = None):
-    """Regime of (alpha, beta) against the spectral curve.
-
-    Returns (regime, curve_beta) where curve_beta is None when a shortcut
-    settled the answer without computing the curve: beta <= lambda_{k+1}
-    lies strictly below it except at the diagonal resonance corner
-    alpha = beta = lambda_{k+1}.  root, when given, is the beta_of_alpha
-    point already computed at this alpha, basis and seed, and is used
-    instead of computing it again.
-    """
+def _classify(params: FucikParams, seed: int, root: FucikPoint | None):
+    """classify's regime with the beta_of_alpha root that decided it (None if a shortcut did)."""
     lam_k1 = params.lambda_k1
     tol = params.tol_beta
     if abs(params.alpha - lam_k1) <= tol and abs(params.beta - lam_k1) <= tol:
-        return RESONANCE, lam_k1
+        return RESONANCE, None
     if params.beta <= lam_k1:
         return NONRESONANCE, None
     if root is None:
@@ -356,27 +347,40 @@ def classify(params: FucikParams, seed: int = 0, root: FucikPoint | None = None)
                 return NONRESONANCE, None
             return OUT_OF_SCOPE, None
     if abs(params.beta - root.beta) <= tol:
-        return RESONANCE, root.beta
+        return RESONANCE, root
     if params.beta < root.beta:
-        return NONRESONANCE, root.beta
-    return OUT_OF_SCOPE, root.beta
+        return NONRESONANCE, root
+    return OUT_OF_SCOPE, root
 
 
-def _eigenset_at(params: FucikParams, seed: int) -> tuple:
-    """L2-normalized spectrum eigenfunctions at (alpha, beta) on the curve."""
-    point = minimize_on_sphere(params, seed=seed)
-    members = []
-    if point.eigenfunction is not None:
-        members.append(point.eigenfunction)
-    for alt in point.alternates:
-        top = maximize_low(params, alt)
-        members.append(to_field(params.basis, coeffs=top.coeffs + alt.coeffs))
+def classify(params: FucikParams, seed: int = 0, root: FucikPoint | None = None):
+    """Regime of (alpha, beta) against the spectral curve.
+
+    Returns (regime, curve_beta) where curve_beta is None when a shortcut
+    settled the answer without computing the curve: beta <= lambda_{k+1}
+    lies strictly below it except at the diagonal resonance corner
+    alpha = beta = lambda_{k+1}, whose curve_beta is lambda_{k+1}.  root,
+    when given, is the beta_of_alpha point already computed at this alpha,
+    basis and seed, and is used instead of computing it again.
+    """
+    regime, point = _classify(params, seed, root)
+    if point is not None:
+        return regime, point.beta
+    return regime, params.lambda_k1 if regime == RESONANCE else None
+
+
+def _eigenset_at(params: FucikParams, point: FucikPoint) -> tuple:
+    """L2-normalized spectrum eigenfunctions of the curve point: its eigenfunction
+    and its tied alternates completed by the low-subspace maximizer there."""
+    at_point = FucikParams(params.alpha, point.beta, params.basis)
+    members = [] if point.eigenfunction is None else [point.eigenfunction.coeffs]
+    members += [maximize_low(at_point, alt).coeffs + alt.coeffs for alt in point.alternates]
     out = []
-    for w in members:
-        c = w.coeffs / np.linalg.norm(w.coeffs)
-        if all(np.linalg.norm(c - o.coeffs) > 1e-6 for o in out):
-            out.append(to_field(params.basis, coeffs=c))
-    return tuple(out)
+    for c in members:
+        c = c / np.linalg.norm(c)
+        if all(np.linalg.norm(c - o) > 1e-6 for o in out):
+            out.append(c)
+    return tuple(to_field(params.basis, coeffs=c) for c in out)
 
 
 def build_problem(
@@ -391,14 +395,18 @@ def build_problem(
     The nonlinearity is certified here (bound, F(0), F' = f, linear growth)
     so solvers can rely on it; out-of-scope parameter pairs are rejected.
     root is handed to classify (a curve point already computed at alpha).
+    At resonance the eigenset is read from the certified root that decided
+    the regime; only the diagonal corner alpha = beta = lambda_{k+1}, decided
+    without one, runs a sphere solve at (alpha, beta) when root is not given.
     """
-    report = nonlinearity.validate(probe_count=2000)
+    report = nonlinearity.validate()
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise ConfigError(f"nonlinearity failed certification: {', '.join(failed)}")
     if h.basis is not params.basis:
         raise ConfigError("forcing field must live on the problem basis")
-    regime, curve_beta = classify(params, seed=seed, root=root)
+    regime, point = _classify(params, seed, root)
+    curve_beta = None if point is None else point.beta
     if regime == OUT_OF_SCOPE:
         raise ConfigError(
             f"beta={params.beta} lies above the spectral curve (beta(alpha)={curve_beta}); "
@@ -406,7 +414,10 @@ def build_problem(
         )
     eigenset = ()
     if regime == RESONANCE:
-        eigenset = _eigenset_at(params, seed)
+        if point is None:
+            curve_beta = params.lambda_k1
+            point = root if root is not None else minimize_on_sphere(params, seed=seed)
+        eigenset = _eigenset_at(params, point)
     return SemilinearProblem(
         params=params,
         nonlinearity=nonlinearity,
@@ -509,30 +520,29 @@ def _ray_slope(problem: SemilinearProblem, v: Field) -> float:
     return (phi(t2) - phi(t1)) / (t2 - t1)
 
 
-def check_gll(problem: SemilinearProblem, eigenset: tuple | None = None) -> GLLReport:
+def check_gll(problem: SemilinearProblem) -> GLLReport:
     """Generalized admissibility check along spectrum eigenfunction rays.
 
     For each normalized eigenfunction v the functional
     r(v) = f_r * integral(v+) - f_l * integral(v-) + integral(h v) is the
     asymptotic slope of t -> integral(F(t v) + t h v); the condition holds
     when every slope is strictly negative, which forces the forcing term to
-    -infinity along every escaping ray.  In the diagonal case both signs of
-    the eigenfunction are rays, which is reported as the two-sided window
-    lower < integral(h v) < upper.
+    -infinity along every escaping ray, v running over problem.eigenset.  In
+    the diagonal case both signs of the eigenfunction are rays, which is
+    reported as the two-sided window lower < integral(h v) < upper.
     """
     nl = problem.nonlinearity
     if nl.limit_left is None or nl.limit_right is None:
         raise MissingLimits("asymptotic limits f_l, f_r must be declared for the ray check")
     if problem.regime != RESONANCE:
         raise ConfigError("the admissibility check applies to the resonance regime")
-    members = problem.eigenset if eigenset is None else tuple(eigenset)
-    if not members:
+    rays = list(problem.eigenset)
+    if not rays:
         raise ConfigError("no eigenfunctions available at the resonance point")
 
     diagonal = abs(problem.params.alpha - problem.params.beta) <= problem.params.tol_beta
-    rays = list(members)
     if diagonal:
-        rays.extend(_negate(v) for v in members)
+        rays.extend(_negate(v) for v in problem.eigenset)
 
     sides = [_one_sided_integrals(v) for v in rays]
     h_dots = [float(problem.h.coeffs @ v.coeffs) for v in rays]
@@ -544,7 +554,7 @@ def check_gll(problem: SemilinearProblem, eigenset: tuple | None = None) -> GLLR
 
     window = None
     if diagonal:
-        (pos, neg), hv = sides[0], h_dots[0]  # members[0] is rays[0]
+        (pos, neg), hv = sides[0], h_dots[0]  # eigenset[0] is rays[0]
         window = (nl.limit_right * neg - nl.limit_left * pos, hv, nl.limit_left * neg - nl.limit_right * pos)
 
     return GLLReport(
@@ -553,7 +563,7 @@ def check_gll(problem: SemilinearProblem, eigenset: tuple | None = None) -> GLLR
         ray_slopes=slopes,
         slope_consistent=consistent,
         window=window,
-        eigenset_size=len(members),
+        eigenset_size=len(problem.eigenset),
     )
 
 
@@ -596,13 +606,13 @@ def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.nda
     return _maximize_t(problem.params, v_samples, t0, forcing=forcing, tol=tol)
 
 
-def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0, n_samples: int = 50) -> dict:
+def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0) -> dict:
     """Sampled certificate of the linking geometry.
 
     Searches the smallest power-of-2 radius R (energy norm, capped at 2^15)
-    at which the sampled sup of E over the low-subspace sphere of radius R
-    falls strictly below the sampled inf of E over the partial-maximizer
-    manifold.  Failure to certify is reported, not raised: the solve may
+    at which the sup of E over 50 samples of the low-subspace sphere of
+    radius R falls strictly below the inf of E over 50 samples of the
+    partial-maximizer manifold.  Failure to certify is reported, not raised: the solve may
     proceed regardless.
     """
     p = problem.params
@@ -611,7 +621,7 @@ def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0, n_samples: int =
 
     # manifold samples: random high directions at a range of amplitudes
     inf_high = math.inf
-    for _ in range(n_samples):
+    for _ in range(50):
         c = np.zeros(basis.dim)
         c[k:] = rng.standard_normal(basis.dim - k)
         c[k:] *= rng.uniform(0.2, 8.0) / np.linalg.norm(c[k:])
@@ -623,7 +633,7 @@ def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0, n_samples: int =
     radius = 1.0
     while radius <= 2.0**15:
         sup_low = -math.inf
-        for _ in range(n_samples):
+        for _ in range(50):
             t = rng.standard_normal(k)
             t *= radius / math.sqrt(float(basis.eigenvalues[:k] @ t**2))
             c = np.zeros(basis.dim)
@@ -659,8 +669,8 @@ def solve(problem: SemilinearProblem, seed: int = 0, force: bool = False) -> Sad
     fallback for the singular directions that appear at resonance.
     Convergence additionally verifies the weak formulation against 50
     seeded random test fields.  At resonance the admissibility check runs
-    first and a failure raises RegimeViolation unless force=True.  BLAS runs
-    single-threaded for the duration.
+    first, over the problem's eigenset, and a failure raises RegimeViolation
+    unless force=True.  BLAS runs single-threaded for the duration.
     """
     p = problem.params
     basis, k = p.basis, p.k

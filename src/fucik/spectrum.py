@@ -59,7 +59,8 @@ _potrf, _potrs, _syevr = get_lapack_funcs(("potrf", "potrs", "syevr"), dtype=np.
 
 @dataclass(frozen=True)
 class FucikParams:
-    """Spectral parameters pinned to a basis and split index.
+    """Spectral parameters pinned to a basis, whose split index k (set by
+    basis.with_k) they read.
 
     Requires lambda_k < alpha <= lambda_{k+1} (the right edge is admitted so
     the diagonal resonance point is expressible) and alpha <= beta; points
@@ -69,13 +70,8 @@ class FucikParams:
     alpha: float
     beta: float
     basis: EigenBasis
-    k: int = None
 
     def __post_init__(self):
-        if self.k is None:
-            object.__setattr__(self, "k", self.basis.k)
-        elif self.k != self.basis.k:
-            object.__setattr__(self, "basis", self.basis.with_k(self.k))
         lam_k, lam_k1 = self.basis.lambda_k, self.basis.lambda_k1
         if not (lam_k < self.alpha <= lam_k1):
             raise ConfigError(
@@ -83,6 +79,10 @@ class FucikParams:
             )
         if self.beta < self.alpha:
             raise ConfigError("beta < alpha; exchange roles via swap()")
+
+    @property
+    def k(self) -> int:
+        return self.basis.k
 
     @property
     def lambda_k(self) -> float:
@@ -314,7 +314,7 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
     return t, gn, it, delta_eff, u, val
 
 
-def maximize_low(params: FucikParams, v: Field, warm: np.ndarray | None = None) -> Field:
+def maximize_low(params: FucikParams, v: Field) -> Field:
     """Unique maximizer of J(. + v) over the low subspace.
 
     v must be supported on the high modes.  The concavity certificate (the
@@ -324,9 +324,8 @@ def maximize_low(params: FucikParams, v: Field, warm: np.ndarray | None = None) 
     k = params.k
     if np.any(v.coeffs[:k] != 0.0):
         raise ConfigError("v must be supported on the high subspace")
-    v_samples = v.samples
-    t0 = np.zeros(k) if warm is None else np.asarray(warm, dtype=float)
-    t = _maximize_t(params, v_samples, t0)[0]
+    t0 = np.zeros(k)
+    t = _maximize_t(params, v.samples, t0)[0]
     _check_concavity(params, v, t0, t)
     coeffs = np.zeros(params.basis.dim)
     coeffs[:k] = t

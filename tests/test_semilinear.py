@@ -218,6 +218,25 @@ def test_build_populates_eigenset_at_resonance(basis):
         assert abs(float(np.linalg.norm(w.coeffs)) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("offset", [-0.5, 0.5])
+def test_numeric_beta_at_resonance_has_the_on_curve_eigenset(offset):
+    # a beta within tol_beta of the root gets the root's certified eigenset:
+    # both eigenfunctions there, each solving the equation at the root
+    mesh = fucik.Mesh1D(0.0, math.pi, 64)
+    b64 = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
+    doc = {"alpha": 3.0, "beta": "on-curve", "f": {"name": "atan_scaled"}, "h": {"named": "phi_1"}}
+    on_curve = fucik.problem_from_dict(b64, doc)
+    root_beta = on_curve.curve_beta
+    tol_beta = on_curve.params.tol_beta
+    numeric = fucik.problem_from_dict(b64, {**doc, "beta": root_beta + offset * tol_beta})
+    assert numeric.regime == on_curve.regime == fucik.RESONANCE
+    assert numeric.curve_beta == root_beta
+    assert len(numeric.eigenset) == len(on_curve.eigenset) == 2
+    for w, ref in zip(numeric.eigenset, on_curve.eigenset):
+        assert np.allclose(w.coeffs, ref.coeffs, rtol=0.0, atol=1e-12)
+        assert fucik.eigen_residual(b64, 3.0, root_beta, w) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # energy and gradient
 

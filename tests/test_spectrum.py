@@ -68,13 +68,6 @@ def test_params_reject_beta_below_alpha(local1):
         fucik.FucikParams(alpha=a, beta=a - 0.1, basis=local1)
 
 
-def test_params_rebases_split_index(local1):
-    a = _alpha_at(local1.with_k(2), 0.5)
-    p = fucik.FucikParams(alpha=a, beta=a + 1.0, basis=local1, k=2)
-    assert p.basis.k == 2
-    assert p.lambda_k == local1.with_k(2).lambda_k
-
-
 def test_params_derived_quantities(local1):
     a = _alpha_at(local1, 0.5)
     p = fucik.FucikParams(alpha=a, beta=a, basis=local1)
