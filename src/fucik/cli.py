@@ -468,7 +468,7 @@ def _run_solve(cfg: RunConfig, prov: dict):
         raise ConfigError(f"problem file {cfg.problem!r} is not valid JSON: {e}")
     basis = _build_basis(cfg)
     problem = problem_from_dict(basis, doc, seed=cfg.seed)
-    result = solve(problem, seed=cfg.seed)
+    result = solve(problem)
     gll = result.gll
 
     out = {

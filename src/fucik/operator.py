@@ -10,15 +10,20 @@ condition imposed by extending basis functions by zero outside (a, b).  The
 ``local`` variant is the classical second-derivative operator used as the
 s -> 1 validation mode.
 
-The singular element-pair integrals (same and adjacent elements) are done in
-closed form via power-law antiderivatives; well-separated pairs use 8-point
-tensor Gauss; the exterior contribution integrates the kernel tail
-analytically.  On the uniform mesh each pair integral depends only on the
-element gap, so the pair terms form a symmetric Toeplitz matrix computed
-from one 8x8 Gauss block per gap, and the far-pair row sums and exterior
-tails form a tridiagonal matrix: assembly takes O(n) memory besides the
-dense result.  This is the P1 scheme with analytic exterior tails of Acosta
-and Borthagaray (SIAM J. Numer. Anal. 55, 2017).
+The fractional stiffness is assembled on the unit-spacing mesh of (0, n):
+every pair and tail integral of the uniform mesh is h^(1-2s) times its value
+there, so h enters only through the one factor scale * h^(1-2s) applied to
+the result.  The singular element-pair integrals (same and adjacent
+elements) are done in closed form via power-law antiderivatives;
+well-separated pairs use 8-point tensor Gauss.  The exterior contribution
+weights each element's Gauss points by the kernel tail, which is exact in
+the exterior variable; only its term singular on an end element is
+integrated in closed form.  Each pair integral depends only on the element
+gap, so the pair terms form a symmetric Toeplitz matrix computed from one
+8x8 Gauss block per gap, and the far-pair row sums and exterior tails form
+a tridiagonal matrix: assembly takes O(n) memory besides the dense result.
+This is the P1 scheme of Acosta and Borthagaray (SIAM J. Numer. Anal. 55,
+2017).
 
 Eigen-decomposition is the dense generalized symmetric solve A c = lambda M c
 (Cholesky reduction of M inside LAPACK, on one BLAS thread), producing an
@@ -67,22 +72,6 @@ _HAT_PRODUCTS = np.array([_HATS[0] ** 2, _HATS[1] ** 2, _HATS[0] * _HATS[1]])
 
 # Tensor Gauss points per element for the well-separated element pairs.
 _GAUSS_ORDER = 8
-
-
-def _power_integral(exponent: float, t1: float, t2: float) -> float:
-    """Integral of t**exponent over [t1, t2], 0 <= t1 < t2.
-
-    Stable for exponents near -1 (expm1 form) and handles the exact
-    logarithmic case; t1 == 0 requires exponent > -1.
-    """
-    p = exponent + 1.0
-    if t1 == 0.0:
-        if p <= 0.0:
-            raise ValueError("divergent power integral at 0")
-        return t2**p / p
-    if p == 0.0:
-        return math.log(t2 / t1)
-    return (math.expm1(p * math.log(t2)) - math.expm1(p * math.log(t1))) / p
 
 
 def _config_number(value, what: str) -> float:
@@ -346,45 +335,37 @@ def _assemble_local(mesh: Mesh1D) -> np.ndarray:
 
 
 def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
-    # On the uniform mesh every pair integral depends only on the gap between
-    # the two elements, so the stiffness is a symmetric Toeplitz matrix (the
-    # near and far pair cross terms) plus a tridiagonal part (the far-pair
-    # row sums and the exterior tails) and a correction at the two end nodes.
-    s, scale = kernel.s, kernel.scale
+    # Every pair and tail integral on the uniform mesh is h^(1-2s) times its
+    # value on the unit-spacing mesh of (0, n), so the matrix is built there
+    # and scaled once: the domain's length cannot cancel in any moment.  Each
+    # pair integral depends only on the gap between the two elements, so the
+    # stiffness is a symmetric Toeplitz matrix (the near and far pair cross
+    # terms) plus a tridiagonal part (the far-pair row sums and the exterior
+    # tails) and a correction at the two end nodes.
+    s = kernel.s
     sig = 1.0 + 2.0 * s
-    h, n, N = mesh.h, mesh.n_elements, mesh.interior_dim
+    n, N = mesh.n_elements, mesh.interior_dim
     row = np.zeros(N)  # first row of the Toeplitz part
     diag, off = np.zeros(N), np.zeros(N - 1)  # tridiagonal part
 
     # same-element pairs: the hat differences are proportional to (x - y), so
     # the integrand is |x-y|^(1-2s) times the slope product
-    q_same = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
-    slope = np.array([-1.0, 1.0]) / h  # hats p-1, p on element p
-    same = scale * q_same * np.outer(slope, slope)
+    slope = np.array([-1.0, 1.0])  # hats p-1, p on element p
+    same = 2.0 / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s)) * np.outer(slope, slope)
 
     # adjacent-element pairs: with u, v the distances to the shared node the
     # integrand is (b_p u + b_q v)(b'_p u + b'_q v)(u+v)^(-1-2s); reduced along
-    # lines u + v = const the two monomial integrals have power-law primitives
-    P = lambda e: _power_integral(e, h, 2.0 * h)
-    i20 = (
-        h ** (4.0 - sig) / (3.0 * (4.0 - sig))
-        + (2.0 * h**3 / 3.0) * P(-sig)
-        - h**2 * P(1.0 - sig)
-        + h * P(2.0 - sig)
-        - P(3.0 - sig) / 3.0
-    )
-    i11 = (
-        h ** (4.0 - sig) / (6.0 * (4.0 - sig))
-        - P(3.0 - sig) / 6.0
-        + h**2 * P(1.0 - sig)
-        - (2.0 * h**3 / 3.0) * P(-sig)
-    )
+    # lines u + v = t the two monomial integrals need P(e) = int_1^2 t^e dt
+    def P(e):
+        p = e + 1.0
+        return math.log(2.0) if p == 0.0 else math.expm1(p * math.log(2.0)) / p
+
+    i20 = 1.0 / (3.0 * (4.0 - sig)) + (2.0 / 3.0) * P(-sig) - P(1.0 - sig) + P(2.0 - sig) - P(3.0 - sig) / 3.0
+    i11 = 1.0 / (6.0 * (4.0 - sig)) - P(3.0 - sig) / 6.0 + P(1.0 - sig) - (2.0 / 3.0) * P(-sig)
     # slopes of hats p-1, p, p+1 on elements p and q = p+1; the pair is
     # counted for (x, y) and (y, x)
-    bp, bq = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]).T / h
-    adjacent = 2.0 * scale * (
-        i20 * (np.outer(bp, bp) + np.outer(bq, bq)) + i11 * (np.outer(bp, bq) + np.outer(bq, bp))
-    )
+    bp, bq = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]).T
+    adjacent = 2.0 * (i20 * (np.outer(bp, bp) + np.outer(bq, bq)) + i11 * (np.outer(bp, bq) + np.outer(bq, bp)))
     # summed over all elements, a local matrix adds its m-th diagonal to the
     # Toeplitz offset m
     row[:2] += [np.trace(same, offset=m) for m in range(2)]
@@ -399,10 +380,10 @@ def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
     # contraction with the two hat shapes on each element (0: hat e, 1: hat
     # e + 1); E[d] = 0 for the near gaps d < 2
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    wg = 0.5 * h * gw
-    dist = h * (np.arange(2.0, n)[:, None, None] + 0.5 * (gx[None, None, :] - gx[None, :, None]))
+    wg = 0.5 * gw
+    dist = np.arange(2.0, n)[:, None, None] + 0.5 * (gx[None, None, :] - gx[None, :, None])
     B = np.zeros((n, _GAUSS_ORDER, _GAUSS_ORDER))
-    B[2:] = scale * dist ** (-sig) * wg[:, None] * wg[None, :]
+    B[2:] = dist ** (-sig) * wg[:, None] * wg[None, :]
     shapes = np.stack([0.5 * (1.0 - gx), 0.5 * (1.0 + gx)])
     E = shapes @ B @ shapes.T
     # S^T W S: the pair (i, j = i + m) meets element gaps m - 1, m, m + 1
@@ -414,45 +395,24 @@ def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
     to_right = np.cumsum(B.sum(axis=2), axis=0)
     to_left = np.cumsum(B.sum(axis=1), axis=0)
     r = to_right[n - 1 :: -1] + to_left[:n]  # (element, Gauss point)
+    # the exterior tail T(x) = [x^(-2s) + (n-x)^(-2s)]/(2s) joins r at the same
+    # points, except for the term singular on each end element: there the one
+    # hat is the distance u to the boundary and int_0^1 u^2 u^(-2s) du is exact
+    x = np.arange(n)[:, None] + shapes[1]
+    r[1:] += wg * x[1:] ** (-2.0 * s) / (2.0 * s)
+    r[:-1] += wg * (n - x[:-1]) ** (-2.0 * s) / (2.0 * s)
+    diag[[0, -1]] += 2.0 / (2.0 * s) / (3.0 - 2.0 * s)
     q = r @ np.stack([shapes[0] ** 2, shapes[1] ** 2, shapes[0] * shapes[1]]).T
     diag += 2.0 * (q[:N, 1] + q[1:, 0])
     off += 2.0 * q[1:N, 2]
 
-    # exterior contribution 2 * int phi_i phi_j T(x) dx with the analytic tail
-    # T(x) = scale/(2s) [(x-a)^(-2s) + (b-x)^(-2s)].  On the element [u1, u2]
-    # at distance j h .. (j+1) h from a boundary, the hats are (u - u1)/h
-    # ("rising", vanishing at the boundary side) and (u2 - u)/h ("falling");
-    # their products are expanded in powers of u and integrated exactly.  The
-    # element touching the boundary (u1 = 0) carries only the rising hat.
-    # The expansion cancels as (u/h)^3 far from the boundary, so rounding in
-    # the moments is amplified: a 1-ulp change (numpy's log and expm1 in
-    # place of math's, or another term order) moves entries by up to 1e-10
-    # of the largest at 257 elements.  The moments therefore come from the
-    # scalar _power_integral and each sum keeps the per-element term order.
-    u1, u2 = h * np.arange(1.0, n), h * np.arange(2.0, n + 1.0)
-    m0, m1, m2 = (np.array([_power_integral(k - 2.0 * s, t1, t2) for t1, t2 in zip(u1, u2)]) for k in range(3))
-    x1, x2, w = u1 / h, u2 / h, 1.0 / h
-    rising = np.empty(n)
-    rising[0] = (w * w) * _power_integral(2.0 - 2.0 * s, 0.0, h)
-    rising[1:] = (x1 * x1) * m0 + (-2.0 * (x1 * w)) * m1 + (w * w) * m2
-    falling = np.empty(n)
-    falling[0] = np.nan  # the boundary node carries no hat
-    falling[1:] = (x2 * x2) * m0 + (-2.0 * (x2 * w)) * m1 + (w * w) * m2
-    cross = -(x1 * x2) * m0 + (x2 * w + x1 * w) * m1 - (w * w) * m2
-    # node i meets element i-1 as its rising hat and element i as its falling
-    # hat, at distances i-1 and i from a and n-i and n-1-i from b
-    i = np.arange(1, n)
-    tail = 2.0 * (scale / (2.0 * s))
-    diag += tail * (rising[i - 1] + falling[n - i]) + tail * (falling[i] + rising[n - 1 - i])
-    off += tail * (cross[: N - 1] + cross[N - 2 :: -1])
-
+    # Toeplitz plus symmetric tridiagonal is exactly symmetric
     A = scipy.linalg.toeplitz(row)
     idx = np.arange(N)
     A[idx, idx] += diag
     A[idx[:-1], idx[1:]] += off
     A[idx[1:], idx[:-1]] += off
-    A += A.T
-    A *= 0.5
+    A *= kernel.scale * mesh.h ** (1.0 - 2.0 * s)
     return A
 
 

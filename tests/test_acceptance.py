@@ -264,7 +264,7 @@ def _collect(seed):
         prob = fucik.build_problem(
             fucik.FucikParams(mu, mu, frac), fucik.Nonlinearity.zero(), h
         )
-        res = fucik.solve(prob, seed=seed)
+        res = fucik.solve(prob)
         expect = h.coeffs / (frac.eigenvalues - mu)
         fred.append({
             "status": res.status,
@@ -284,7 +284,7 @@ def _collect(seed):
         fucik.to_field(frac, coeffs=0.1 * _unit_coeff_field(frac, 0).coeffs),
         seed=seed,
     )
-    res10 = fucik.solve(prob10, seed=seed)
+    res10 = fucik.solve(prob10)
     rep10 = fucik.residual_report(prob10, res10.u_star)
     values["nonresonance"] = {
         "regime": prob10.regime, "curve_beta": prob10.curve_beta,
@@ -306,18 +306,18 @@ def _collect(seed):
     phi2 = _unit_coeff_field(frac, frac.k)
 
     prob_a = fucik.build_problem(corner, zero, phi2, seed=seed)
-    res_a = fucik.solve(prob_a, seed=seed, force=True)
+    res_a = fucik.solve(prob_a, force=True)
     cos_a = 0.0
     if res_a.ray is not None:
         cos_a = abs(float(res_a.ray.coeffs[frac.k])) / float(np.linalg.norm(res_a.ray.coeffs))
 
     prob_b = fucik.build_problem(corner, zero, phi1, seed=seed)
-    res_b = fucik.solve(prob_b, seed=seed, force=True)
+    res_b = fucik.solve(prob_b, force=True)
 
     prob_c = fucik.build_problem(corner, fucik.Nonlinearity.atan_scaled(),
                                  fucik.to_field(frac, coeffs=np.zeros(frac.dim)), seed=seed)
     gll_c = fucik.check_gll(prob_c)
-    res_c = fucik.solve(prob_c, seed=seed)
+    res_c = fucik.solve(prob_c)
 
     values["resonance"] = {
         "aligned": {"status": res_a.status, "cosine": cos_a},

@@ -62,7 +62,7 @@ def test_sphere_and_saddle_loops_run_single_threaded(pools, monkeypatch):
     fucik.minimize_on_sphere(params, seed=0)
     assert _counts(pools) == [2] * len(pools)
     h = fucik.to_field(basis, coeffs=np.r_[0.5, np.zeros(basis.dim - 1)])
-    fucik.solve(fucik.build_problem(params, fucik.Nonlinearity.tanh(), h), seed=0)
+    fucik.solve(fucik.build_problem(params, fucik.Nonlinearity.tanh(), h))
     assert _counts(pools) == [2] * len(pools)
     assert seen and set(seen) == {(1,) * len(pools)}
 

@@ -545,7 +545,10 @@ def test_module_entry_point_runs_without_warnings():
     # 32 elements miss the closed-form curve by up to 12%, so the check
     # passes only with a wide tolerance; at 1% the run exits 1 on accuracy
     ["--mode", "validate", "--elements", "32", "--tol-validate", "0.25"],
-], ids=["eigen", "curve", "solve", "validate"])
+    # a short domain at small s: the assembly must not cancel in h
+    ["--mode", "curve", "--kernel", "fractional:s=0.001", "--domain=0,1e-4", "--elements", "48",
+     "--alpha-samples", "3"],
+], ids=["eigen", "curve", "solve", "validate", "curve-short-domain"])
 def test_module_runs_clean_in_dev_mode(tmp_path, argv):
     # -X dev reports unclosed files and other resource warnings, which
     # -W error turns into a failing exit

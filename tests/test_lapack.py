@@ -119,8 +119,11 @@ def test_frozen_minimum_matches_the_solve_and_eigh_reference(s, elements, k, mon
         scale = float(np.linalg.norm(ref_schur, 2))
         assert float(np.max(np.abs(schur - ref_schur))) <= RTOL * scale
         assert abs(mu - ref_mu) <= RTOL * scale
-        sign = 1.0 if float(vec @ ref_vec) >= 0.0 else -1.0
-        assert float(np.max(np.abs(sign * vec - ref_vec))) <= RTOL
+        # the eigenvector moves by about roundoff / (relative eigen-gap), and
+        # that gap is 2e-5 at s = 0.001, so the vector is checked as an
+        # eigenpair of the reference complement rather than entry by entry
+        assert float(np.linalg.norm(ref_schur @ vec - mu * vec)) <= RTOL * scale
+        assert abs(float(vec @ vec) - 1.0) <= RTOL
 
 
 def test_loops_call_no_scipy_linalg_wrapper(frac96, local64, monkeypatch):

@@ -9,6 +9,7 @@ import stat
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,15 +134,24 @@ def test_fractional_stiffness_toeplitz(frac32):
         assert spread <= 1e-11
 
 
-def _dense_fractional_stiffness(kernel, mesh, gauss_order=8):
-    """Reference assembly: explicit element-pair loops and the dense kernel
-    matrix on all Gauss points, with no use of the mesh's translation
-    invariance."""
-    _power_integral = fucik.operator._power_integral
+def _gauss_hats(mesh, gauss_order):
+    """Gauss points and weights on every element, and the interior hats there."""
+    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
+    h, nodes = mesh.h, mesh.nodes
+    centers = 0.5 * (nodes[:-1] + nodes[1:])
+    xg = (centers[:, None] + 0.5 * h * gx[None, :]).ravel()
+    wg = np.tile(0.5 * h * gw, mesh.n_elements)
+    S = np.maximum(0.0, 1.0 - np.abs(xg[:, None] - nodes[None, 1:-1]) / h)  # (G, N)
+    return xg, wg, S
+
+
+def _dense_pair_stiffness(kernel, mesh, gauss_order=8):
+    """Reference for the pairs inside the domain: explicit element-pair loops
+    and the dense kernel matrix on all Gauss points, with no use of the
+    mesh's translation invariance."""
     s, scale = kernel.s, kernel.scale
     sig = 1.0 + 2.0 * s
     h, n, N = mesh.h, mesh.n_elements, mesh.interior_dim
-    nodes = mesh.nodes
     A = np.zeros((N, N))
 
     def slope(i, p):
@@ -152,8 +162,12 @@ def _dense_fractional_stiffness(kernel, mesh, gauss_order=8):
             return -1.0 / h
         return 0.0
 
+    def P(e):
+        # int_h^2h t^e dt
+        p = e + 1.0
+        return math.log(2.0) if p == 0.0 else h**p * math.expm1(p * math.log(2.0)) / p
+
     q_same = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
-    P = lambda e: _power_integral(e, h, 2.0 * h)
     i20 = (
         h ** (4.0 - sig) / (3.0 * (4.0 - sig))
         + (2.0 * h**3 / 3.0) * P(-sig)
@@ -182,35 +196,37 @@ def _dense_fractional_stiffness(kernel, mesh, gauss_order=8):
                     val = bi_p * bj_p * i20 + (bi_p * bj_q + bi_q * bj_p) * i11 + bi_q * bj_q * i20
                     A[i - 1, j - 1] += 2.0 * scale * val
 
-    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
-    G = n * gauss_order
-    centers = 0.5 * (nodes[:-1] + nodes[1:])
-    xg = (centers[:, None] + 0.5 * h * gx[None, :]).ravel()
-    wg = np.tile(0.5 * h * gw, n)
+    xg, wg, S = _gauss_hats(mesh, gauss_order)
     W = np.abs(xg[:, None] - xg[None, :])
     np.fill_diagonal(W, 1.0)
     W = scale * W ** (-sig) * wg[:, None] * wg[None, :]
     for p in range(n):
         W[p * gauss_order : (p + 1) * gauss_order, max(0, (p - 1) * gauss_order) : (p + 2) * gauss_order] = 0.0
-    S = np.maximum(0.0, 1.0 - np.abs(xg[:, None] - nodes[None, 1:-1]) / h)  # (G, N) hats at Gauss points
     A += 2.0 * (S.T * W.sum(axis=1)) @ S
     A -= 2.0 * S.T @ W @ S
-
-    for p in range(1, n + 1):
-        u1, u2 = (p - 1) * h, p * h
-        d1, d2 = (n - p) * h, (n - p + 1) * h
-        poly_left = {p - 1: np.array([u2 / h, -1.0 / h]), p: np.array([-u1 / h, 1.0 / h])}
-        poly_right = {p - 1: np.array([-d1 / h, 1.0 / h]), p: np.array([d2 / h, -1.0 / h])}
-        for i in (p - 1, p):
-            for j in (p - 1, p):
-                if not (1 <= i <= N and 1 <= j <= N):
-                    continue
-                c_l = np.polynomial.polynomial.polymul(poly_left[i], poly_left[j])
-                c_r = np.polynomial.polynomial.polymul(poly_right[i], poly_right[j])
-                v_l = sum(c * _power_integral(k - 2.0 * s, u1, u2) for k, c in enumerate(c_l) if c != 0.0)
-                v_r = sum(c * _power_integral(k - 2.0 * s, d1, d2) for k, c in enumerate(c_r) if c != 0.0)
-                A[i - 1, j - 1] += 2.0 * (scale / (2.0 * s)) * (v_l + v_r)
     return 0.5 * (A + A.T)
+
+
+def _dense_tail_stiffness(kernel, mesh, gauss_order=8):
+    """Reference for 2 int phi_i phi_j T with the exterior tail T(x) =
+    scale/(2s) [(x-a)^(-2s) + (b-x)^(-2s)]: Gauss on each element, except
+    the boundary's own term on the two end elements, integrated exactly."""
+    s, scale, h = kernel.s, kernel.scale, mesh.h
+    xg, wg, S = _gauss_hats(mesh, gauss_order)
+    left, right = (xg - mesh.a) ** (-2.0 * s), (mesh.b - xg) ** (-2.0 * s)
+    left[:gauss_order] = right[-gauss_order:] = 0.0
+    T = left + right
+    tail = 2.0 * (scale / (2.0 * s))
+    A = tail * (S.T * (T * wg)) @ S
+    # int_0^h (u/h)^2 u^(-2s) du for the end hat on its boundary element
+    end = tail * h ** (1.0 - 2.0 * s) / (3.0 - 2.0 * s)
+    A[0, 0] += end
+    A[-1, -1] += end
+    return 0.5 * (A + A.T)
+
+
+def _dense_fractional_stiffness(kernel, mesh, gauss_order=8):
+    return _dense_pair_stiffness(kernel, mesh, gauss_order) + _dense_tail_stiffness(kernel, mesh, gauss_order)
 
 
 @pytest.mark.parametrize(
@@ -224,6 +240,46 @@ def test_fractional_stiffness_matches_dense_reference(n_elements, s, scale, doma
     a = fucik.assemble(kernel, mesh).stiffness
     ref = _dense_fractional_stiffness(kernel, mesh)
     assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _mpmath_tail(s, n, i, j):
+    """2 int phi_i phi_j T on the unit mesh of (0, n), T(x) = [x^(-2s) + (n-x)^(-2s)]/(2s)."""
+    def integrand(x):
+        return (1 - abs(x - i)) * (1 - abs(x - j)) * (x ** (-2 * s) + (n - x) ** (-2 * s)) / s
+
+    with mpmath.workdps(30):
+        return float(mpmath.quad(integrand, list(range(max(i, j) - 1, min(i, j) + 2))))
+
+
+@pytest.mark.parametrize("s", [0.001, 0.25, 0.5, 0.75])
+def test_assembled_tails_match_mpmath(s):
+    # on the unit mesh of (0, n) the exterior tail is what the assembled
+    # stiffness holds beyond the pairs inside the domain; rows far from the
+    # boundary are included because power-moment forms of the tail cancel there
+    n = 129
+    kernel = fucik.Kernel.fractional(s)
+    mesh = fucik.Mesh1D(0.0, float(n), n)
+    tails = fucik.assemble(kernel, mesh).stiffness - _dense_pair_stiffness(kernel, mesh)
+    N = mesh.interior_dim
+    for i in (1, 2, 3, N // 4, N // 2, N - 1, N):
+        for j in (i, i + 1) if i < N else (i,):
+            exact = _mpmath_tail(s, n, i, j)
+            assert abs(tails[i - 1, j - 1] - exact) <= 1e-9 * exact, (i, j)
+
+
+@pytest.mark.parametrize("s", [0.001, 0.25, 0.5, 0.75, 0.999])
+def test_stiffness_and_eigenvalues_scale_with_the_domain(s):
+    # x -> L x maps the mesh of (0, 1) onto that of (0, L): the stiffness
+    # scales by L^(1-2s), the mass by L and the eigenvalues by L^(-2s)
+    kernel = fucik.Kernel.fractional(s)
+    unit = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(0.0, 1.0, 48)), k=1)
+    a_unit = unit.operator.stiffness
+    for length in (1e-6, 1e-4, 2e3, 1e6):
+        op = fucik.assemble(kernel, fucik.Mesh1D(0.0, length, 48))
+        a = op.stiffness / length ** (1.0 - 2.0 * s)
+        assert np.max(np.abs(a - a_unit)) <= 1e-14 * np.max(np.abs(a_unit)), length
+        lam = fucik.eigenpairs(op, k=1).eigenvalues * length ** (2.0 * s)
+        assert np.max(np.abs(lam / unit.eigenvalues - 1.0)) <= 1e-11, length
 
 
 def test_fractional_assembly_peak_memory_at_1025_elements():
