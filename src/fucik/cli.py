@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .operator import (
     Mesh1D,
     _config_number,
     _config_numbers,
-    _json_default,
+    _json_document,
     _write_atomic,
     assemble,
     basis_document,
@@ -54,8 +54,6 @@ _CANVAS_W = 800
 _CANVAS_H = 600
 _MARGIN = {"left": 70.0, "right": 25.0, "top": 45.0, "bottom": 55.0}
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-# Array entries formatted per JSON chunk: few number strings alive at once.
-_JSON_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +96,8 @@ class RunConfig:
             raise ConfigError(f"elements must be >= 4, got {self.elements}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.alpha_samples < 3:
             raise ConfigError(f"alpha_samples must be >= 3, got {self.alpha_samples}")
         if self.problem is not None and not isinstance(self.problem, str):
@@ -117,28 +117,16 @@ class RunConfig:
         object.__setattr__(self, "tolerances", tols)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "kernel": self.kernel,
-            "domain": list(self.domain),
-            "elements": self.elements,
-            "k": self.k,
-            "alpha_samples": self.alpha_samples,
-            "problem": self.problem,
-            "out": self.out,
-            "seed": self.seed,
-            "tolerances": {name: self.tolerances[name] for name in sorted(self.tolerances)},
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["domain"] = list(self.domain)
+        doc["tolerances"] = {name: self.tolerances[name] for name in sorted(self.tolerances)}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {
-            "mode", "kernel", "domain", "elements", "k", "alpha_samples",
-            "problem", "out", "seed", "tolerances",
-        }
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "mode" not in doc:
@@ -207,32 +195,6 @@ def _csv_document(schema: str, columns: list, rows: list, prov: dict) -> str:
             raise ConfigError(f"row width {len(row)} vs {len(columns)} columns in {schema}")
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _json_document(doc: dict):
-    """Yield ``json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\\n"`` in chunks.
-
-    json's indenting encoder is pure Python and returns the whole text, so a
-    top-level member that is a non-empty 1-D array of finite float64 (the
-    eigenvectors of basis.json) is formatted from its reprs one block of
-    _JSON_BLOCK entries at a time, and the text is never held whole; every
-    other member goes through json.dumps.
-    """
-    opener = "{"
-    for key in sorted(doc):
-        value = doc[key]
-        yield f"{opener}\n  {json.dumps(key)}: "
-        opener = ","
-        floats = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
-        if floats and value.size and np.isfinite(value).all():
-            sep = ",\n    "
-            for start in range(0, value.size, _JSON_BLOCK):
-                block = sep.join(map(float.__repr__, value[start : start + _JSON_BLOCK].tolist()))
-                yield (sep if start else "[\n    ") + block
-            yield "\n  ]"
-        else:
-            yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
-    yield "\n}\n" if doc else "{}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +619,11 @@ def config_from_args(argv: list | None = None) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config!r} must hold a JSON object")
         doc.update(loaded)
-    for name in ("mode", "kernel", "elements", "k", "alpha_samples", "problem", "out", "seed"):
-        value = getattr(args, name)
+    # every field but tolerances has a flag of its name; the tolerance flags follow
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            doc[name] = value
-    if args.domain is not None:
-        doc["domain"] = _parse_domain(args.domain)
+            doc[f.name] = _parse_domain(value) if f.name == "domain" else value
     tols = doc.get("tolerances", {})
     if isinstance(tols, dict):  # RunConfig refuses any other value
         tols = dict(tols)

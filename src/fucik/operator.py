@@ -36,6 +36,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -72,6 +73,8 @@ _HAT_PRODUCTS = np.array([_HATS[0] ** 2, _HATS[1] ** 2, _HATS[0] * _HATS[1]])
 
 # Tensor Gauss points per element for the well-separated element pairs.
 _GAUSS_ORDER = 8
+# Array entries formatted per JSON chunk: few number strings alive at once.
+_JSON_BLOCK = 4096
 
 
 def _config_number(value, what: str) -> float:
@@ -283,6 +286,8 @@ class Mesh1D:
             raise MeshTooCoarse(
                 f"{self.n_elements} elements give {self.interior_dim} interior nodes; need >= 3"
             )
+        if not math.isfinite(self.b - self.a) or self.h < sys.float_info.min:
+            raise ConfigError(f"({self.a}, {self.b}) in {self.n_elements} elements has no normal finite spacing")
 
     @property
     def h(self) -> float:
@@ -312,6 +317,8 @@ class GalerkinOperator:
         n = self.mesh.interior_dim
         if self.stiffness.shape != (n, n) or self.mass.shape != (n, n):
             raise DimensionMismatch("matrix shapes do not match the mesh")
+        if not (np.isfinite(self.stiffness).all() and np.isfinite(self.mass).all()):
+            raise ConfigError("stiffness or mass overflows on this mesh")
 
 
 def _mass_matrix(mesh: Mesh1D) -> np.ndarray:
@@ -412,7 +419,8 @@ def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
     A[idx, idx] += diag
     A[idx[:-1], idx[1:]] += off
     A[idx[1:], idx[:-1]] += off
-    A *= kernel.scale * mesh.h ** (1.0 - 2.0 * s)
+    with np.errstate(over="ignore"):  # GalerkinOperator refuses an overflowed matrix
+        A *= kernel.scale * mesh.h ** (1.0 - 2.0 * s)
     return A
 
 
@@ -684,9 +692,34 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _json_document(doc: dict):
+    """Yield ``json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\\n"`` in chunks.
+
+    json's indenting encoder is pure Python and returns the whole text, so a
+    top-level member that is a non-empty 1-D array of finite float64 (the
+    eigenvectors of basis.json) is formatted from its reprs one block of
+    _JSON_BLOCK entries at a time, and the text is never held whole; every
+    other member goes through json.dumps.
+    """
+    opener = "{"
+    for key in sorted(doc):
+        value = doc[key]
+        yield f"{opener}\n  {json.dumps(key)}: "
+        opener = ","
+        floats = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
+        if floats and value.size and np.isfinite(value).all():
+            sep = ",\n    "
+            for start in range(0, value.size, _JSON_BLOCK):
+                block = sep.join(map(float.__repr__, value[start : start + _JSON_BLOCK].tolist()))
+                yield (sep if start else "[\n    ") + block
+            yield "\n  ]"
+        else:
+            yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
+    yield "\n}\n" if doc else "{}\n"
+
+
 def save_basis(basis: EigenBasis, path: str) -> None:
-    text = json.dumps(basis_document(basis), default=_json_default)
-    _write_atomic({Path(os.path.abspath(path)): [text]})
+    _write_atomic({Path(os.path.abspath(path)): _json_document(basis_document(basis))})
 
 
 def _document_array(values, what: str, size: int) -> np.ndarray:

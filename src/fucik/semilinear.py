@@ -165,19 +165,18 @@ class Nonlinearity:
         )
 
     @classmethod
-    def from_table(cls, points, values, limits=None) -> "Nonlinearity":
+    def from_table(cls, points, values) -> "Nonlinearity":
+        """Piecewise-linear interpolant of the table, constant beyond its ends.
+
+        The constant extrapolation makes the limits at -inf / +inf the edge
+        values and the sup over the whole line the tabulated sup.
+        """
         pts = np.asarray(points, dtype=float)
         vals = np.asarray(values, dtype=float)
         if pts.ndim != 1 or pts.shape != vals.shape or pts.size < 2:
             raise ConfigError("table needs matching 1-D points/values with >= 2 entries")
         if np.any(np.diff(pts) <= 0.0):
             raise ConfigError("table points must be strictly increasing")
-        if limits is None:
-            limits = (float(vals[0]), float(vals[-1]))
-        # constant extrapolation beyond the table makes the declared limits
-        # exact and the sup over the whole line equal to the tabulated sup
-        if abs(limits[0] - vals[0]) > 1e-12 or abs(limits[1] - vals[-1]) > 1e-12:
-            raise ConfigError("declared limits must match the table edge values")
 
         # exact primitive of the interpolant: quadratic on each segment on top
         # of the cumulative trapezoid sums at the knots, linear on the tails
@@ -202,8 +201,8 @@ class Nonlinearity:
             name="table",
             func=lambda t: np.interp(np.asarray(t, dtype=float), pts, vals),
             bound=float(np.max(np.abs(vals))),
-            limit_left=limits[0],
-            limit_right=limits[1],
+            limit_left=float(vals[0]),
+            limit_right=float(vals[-1]),
             antiderivative=lambda t: G(t) - g0,
         )
 
@@ -330,8 +329,17 @@ class SemilinearProblem:
         return 1e-10
 
 
-def _classify(params: FucikParams, seed: int, root: FucikPoint | None):
-    """classify's regime with the beta_of_alpha root that decided it (None if a shortcut did)."""
+def classify(params: FucikParams, seed: int = 0, root: FucikPoint | None = None):
+    """Regime of (alpha, beta) against the spectral curve.
+
+    Returns (regime, point) where point is the beta_of_alpha root that
+    decided the regime, or None when a shortcut decided it without the
+    curve: beta <= lambda_{k+1} lies strictly below the curve except at the
+    diagonal resonance corner alpha = beta = lambda_{k+1}, and a curve with
+    no root below the bracket cap lies above every beta up to that cap.
+    root, when given, is the beta_of_alpha point already computed at this
+    alpha, basis and seed, and is used instead of computing it again.
+    """
     lam_k1 = params.lambda_k1
     tol = params.tol_beta
     if abs(params.alpha - lam_k1) <= tol and abs(params.beta - lam_k1) <= tol:
@@ -351,22 +359,6 @@ def _classify(params: FucikParams, seed: int, root: FucikPoint | None):
     if params.beta < root.beta:
         return NONRESONANCE, root
     return OUT_OF_SCOPE, root
-
-
-def classify(params: FucikParams, seed: int = 0, root: FucikPoint | None = None):
-    """Regime of (alpha, beta) against the spectral curve.
-
-    Returns (regime, curve_beta) where curve_beta is None when a shortcut
-    settled the answer without computing the curve: beta <= lambda_{k+1}
-    lies strictly below it except at the diagonal resonance corner
-    alpha = beta = lambda_{k+1}, whose curve_beta is lambda_{k+1}.  root,
-    when given, is the beta_of_alpha point already computed at this alpha,
-    basis and seed, and is used instead of computing it again.
-    """
-    regime, point = _classify(params, seed, root)
-    if point is not None:
-        return regime, point.beta
-    return regime, params.lambda_k1 if regime == RESONANCE else None
 
 
 def _eigenset_at(params: FucikParams, point: FucikPoint) -> tuple:
@@ -405,7 +397,7 @@ def build_problem(
         raise ConfigError(f"nonlinearity failed certification: {', '.join(failed)}")
     if h.basis is not params.basis:
         raise ConfigError("forcing field must live on the problem basis")
-    regime, point = _classify(params, seed, root)
+    regime, point = classify(params, seed, root)
     curve_beta = None if point is None else point.beta
     if regime == OUT_OF_SCOPE:
         raise ConfigError(
@@ -684,8 +676,6 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     gll = None
     if problem.regime == RESONANCE:
         gll = check_gll(problem)
-        diagnostics["gll_satisfied"] = gll.satisfied
-        diagnostics["gll_ray_values"] = gll.ray_values
         if not gll.satisfied and not force:
             raise RegimeViolation(
                 "admissibility check failed at resonance; pass force=True to search anyway"
@@ -850,13 +840,15 @@ def problem_from_dict(basis: EigenBasis, doc: dict, seed: int = 0) -> Semilinear
     """Build a problem from its JSON-style description.
 
     Keys: alpha (number), beta (number or the string "on-curve"), k
-    (optional split index), f ({name} or {table}), f_limits (optional
-    override pair), h (field spec).  "on-curve" resolves beta by the curve
-    computation at alpha, which lands the problem in the resonance regime.
+    (optional split index), f ({name} or {table}), h (field spec).  The
+    limits of f at -inf / +inf come from the nonlinearity itself: a builtin
+    declares them, a table's are its edge values.  "on-curve" resolves beta
+    by the curve computation at alpha, which lands the problem in the
+    resonance regime; classify then reuses that root.
     """
     if not isinstance(doc, dict):
         raise ConfigError("problem document must be a mapping")
-    unknown = set(doc) - {"alpha", "beta", "k", "f", "f_limits", "h"}
+    unknown = set(doc) - {"alpha", "beta", "k", "f", "h"}
     if unknown:
         raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
     try:
@@ -871,21 +863,18 @@ def problem_from_dict(basis: EigenBasis, doc: dict, seed: int = 0) -> Semilinear
         if isinstance(doc["k"], bool) or not isinstance(doc["k"], int):
             raise ConfigError(f"k must be an integer, got {doc['k']!r}")
         basis = basis.with_k(doc["k"])
-    limits = _config_numbers(doc["f_limits"], "f_limits", count=2) if "f_limits" in doc else None
 
     if isinstance(f_spec, dict) and "name" in f_spec:
         name = f_spec["name"]
         if not isinstance(name, str) or name not in _BUILTIN_NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity {name!r}; builtins: {sorted(_BUILTIN_NONLINEARITIES)}")
         nl = _BUILTIN_NONLINEARITIES[name]()
-        if limits is not None and (abs(limits[0] - nl.limit_left) > 1e-12 or abs(limits[1] - nl.limit_right) > 1e-12):
-            raise ConfigError("declared f_limits contradict the builtin nonlinearity")
     elif isinstance(f_spec, dict) and "table" in f_spec:
         table = f_spec["table"]
         if not isinstance(table, dict) or not {"points", "values"} <= set(table):
             raise ConfigError("table spec must hold points and values")
         points = _config_numbers(table["points"], "table points")
-        nl = Nonlinearity.from_table(points, _config_numbers(table["values"], "table values"), limits=limits)
+        nl = Nonlinearity.from_table(points, _config_numbers(table["values"], "table values"))
     else:
         raise ConfigError("f spec must carry a builtin name or a table")
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -358,8 +359,14 @@ def test_malformed_config_leaves_no_files(tmp_path, capsys):
     ({"tolerances": {"beta": "x"}}, []),
     ({"tolerances": [1]}, []),
     ({"tolerances": [1]}, ["--tol-beta", "1e-6"]),
+    ({"seed": -1}, []),
+    ({"domain": [-1e308, 1e308]}, []),
+    ({"domain": [0, 5e-324]}, []),
+    ({"domain": [0, 1e-322]}, []),
+    ({"kernel": "fractional:s=0.001", "domain": [-2.2025709834862e306, 0], "elements": 4}, []),
 ], ids=["domain-string", "domain-entry", "domain-number", "tolerance-string", "tolerances-list",
-        "tolerances-list-with-flag"])
+        "tolerances-list-with-flag", "seed-negative", "length-overflows", "spacing-underflows",
+        "spacing-subnormal", "stiffness-overflows"])
 def test_malformed_config_entry_exits_2(tmp_path, capsys, entry, flags):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mode": "eigen", "elements": 8, **entry}))
@@ -377,12 +384,13 @@ _TABLE = {"table": {"points": [-1.0, 1.0], "values": [-1.0, 1.0]}}
     {"k": "two"},
     {"f_limits": [1]},
     {"f_limits": [-1.0], "f": _TABLE},
+    {"f_limits": [-1.0, 1.0]},
     {"beta": [2.0]},
     {"f": {"table": {"points": [-1.0, 1.0]}}},
     {"f": {"table": {"points": [-1.0, "x"], "values": [-1.0, 1.0]}}},
     {"h": {"coeffs": ["a"]}},
-], ids=["alpha-string", "k-string", "f_limits-single", "table-f_limits-single", "beta-list",
-        "table-without-values", "table-point-string", "h-coeffs-string"])
+], ids=["alpha-string", "k-string", "f_limits-single", "table-f_limits-single", "f_limits-restated",
+        "beta-list", "table-without-values", "table-point-string", "h-coeffs-string"])
 def test_malformed_problem_exits_2(tmp_path, capsys, change):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps({"alpha": 2.0, "beta": 2.0, "f": {"name": "tanh"},
@@ -391,6 +399,32 @@ def test_malformed_problem_exits_2(tmp_path, capsys, change):
     assert _run(["--mode", "solve", "--elements", "8", "--problem", str(prob), "--out", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _exits_0_or_2(argv):
+    # exit 2 is a refusal, which must leave --out unmade
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = _run([*argv, "--out", str(out)])
+        assert code in (0, 2)
+        assert code == 0 or not out.exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(ends=st.tuples(_FINITE, _FINITE).map(sorted), elements=st.integers(4, 12),
+       kernel=st.sampled_from(["local", "fractional:s=0.001", "fractional:s=0.5", "fractional:s=0.999"]))
+def test_eigen_mode_runs_or_refuses_any_finite_domain(ends, elements, kernel):
+    _exits_0_or_2(["--mode", "eigen", "--kernel", kernel, f"--domain={ends[0]!r},{ends[1]!r}",
+                   "--elements", str(elements)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-(2**63), 2**63))
+def test_curve_mode_runs_or_refuses_any_seed(seed):
+    _exits_0_or_2(["--mode", "curve", "--elements", "8", "--alpha-samples", "3", "--seed", str(seed)])
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -652,7 +652,7 @@ def test_saved_basis_mode_matches_plain_open(tmp_path):
             assert sorted(p.name for p in out.iterdir()) == ["basis.json", "plain"]
             doc = {key: v.tolist() if isinstance(v, np.ndarray) else v
                    for key, v in fucik.basis_document(basis).items()}
-            assert (out / "basis.json").read_text() == json.dumps(doc)
+            assert (out / "basis.json").read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     finally:
         os.umask(previous)
 

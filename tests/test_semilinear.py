@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fucik
+from fucik import semilinear
 from table_reference import assert_close, sample_table
 
 
@@ -107,8 +108,6 @@ def test_overstated_bound_fails_validation():
 def test_table_rejects_malformed():
     with pytest.raises(fucik.ConfigError):
         fucik.Nonlinearity.from_table([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
-    with pytest.raises(fucik.ConfigError):
-        fucik.Nonlinearity.from_table([0.0, 1.0], [1.0, 2.0], limits=(5.0, 2.0))
 
 
 def test_table_quadrature_antiderivative():
@@ -169,26 +168,28 @@ def test_table_primitive_matches_quadrature(table, t):
 
 def test_classify_diagonal_below_curve(basis):
     a = _mid_alpha(basis)
-    regime, curve_beta = fucik.classify(fucik.FucikParams(a, a, basis))
+    regime, point = fucik.classify(fucik.FucikParams(a, a, basis))
     assert regime == fucik.NONRESONANCE
-    assert curve_beta is None  # shortcut: beta <= lambda_{k+1}
+    assert point is None  # shortcut: beta <= lambda_{k+1}
 
 
 def test_classify_on_and_above_curve(basis):
     a = _mid_alpha(basis, 0.6)
     root = fucik.beta_of_alpha(a, basis)
-    regime_on, beta_on = fucik.classify(fucik.FucikParams(a, root.beta, basis))
+    regime_on, point_on = fucik.classify(fucik.FucikParams(a, root.beta, basis))
     assert regime_on == fucik.RESONANCE
-    assert abs(beta_on - root.beta) <= 1e-9 * root.beta
+    assert abs(point_on.beta - root.beta) <= 1e-9 * root.beta
     regime_above, _ = fucik.classify(fucik.FucikParams(a, root.beta + 1.0, basis))
     assert regime_above == fucik.OUT_OF_SCOPE
 
 
 def test_classify_resonance_corner(basis):
     lam2 = basis.lambda_k1
-    regime, curve_beta = fucik.classify(fucik.FucikParams(lam2, lam2, basis))
+    params = fucik.FucikParams(lam2, lam2, basis)
+    regime, point = fucik.classify(params)
     assert regime == fucik.RESONANCE
-    assert curve_beta == lam2
+    assert point is None  # shortcut: the diagonal corner
+    assert fucik.build_problem(params, fucik.Nonlinearity.zero(), _zero_field(basis)).curve_beta == lam2
 
 
 def test_build_rejects_out_of_scope(basis):
@@ -576,8 +577,8 @@ def test_solve_resonance_with_admissibility(basis):
     res = fucik.solve(prob)
     assert res.status == fucik.CONVERGED
     assert res.residual <= prob.tol_res
-    assert res.diagnostics["gll_satisfied"]
-    assert res.gll.satisfied and res.gll.ray_values == res.diagnostics["gll_ray_values"]
+    assert res.gll.satisfied
+    assert "gll_satisfied" not in res.diagnostics and "gll_ray_values" not in res.diagnostics
 
 
 def test_solve_refuses_failed_admissibility(basis):
@@ -648,3 +649,22 @@ def test_problem_from_dict_rejects_malformed(basis):
     missing = {k: v for k, v in good.items() if k != "beta"}
     with pytest.raises(fucik.ConfigError):
         fucik.problem_from_dict(basis, missing)
+
+
+def test_on_curve_document_classifies_once(basis, monkeypatch):
+    calls = []
+    classify = semilinear.classify
+
+    def counted(*args, **kwargs):
+        calls.append(classify(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(semilinear, "classify", counted)
+    doc = {"alpha": _mid_alpha(basis, 0.6), "beta": "on-curve", "f": {"name": "atan_scaled"},
+           "h": {"named": "phi_1"}}
+    prob = fucik.problem_from_dict(basis, doc)
+    assert len(calls) == 1
+    regime, point = calls[0]
+    assert regime == prob.regime == fucik.RESONANCE
+    assert point.beta == prob.curve_beta == prob.params.beta
+
