@@ -299,7 +299,8 @@ class Mesh1D:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.n_elements + 1)
+        # (b - a) * (i / n) stays finite wherever b - a is, unlike h * i
+        return self.a + (self.b - self.a) * (np.arange(self.n_elements + 1) / self.n_elements)
 
 
 @dataclass(frozen=True)
@@ -451,7 +452,7 @@ class EigenBasis:
     the "low" subspace used by the variational layer.
 
     Every nonlinear quadrature in the package uses the shared per-element
-    Simpson rule, sample_points and sample_weights w (5 per element),
+    Simpson rule (offsets 0, h/4, ..., h in each element, sample_weights w)
     through four methods, where modes selects the columns V_m (all by
     default): sample(c) = P V_m c, gather(v) = V_m^T P^T (w v),
     integrate(v) = w . v and gram(v) = V_m^T T V_m.  P interpolates nodal
@@ -478,8 +479,6 @@ class EigenBasis:
             )
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "vectors", _readonly(self.vectors))
-        pts = mesh.nodes[:-1, None] + mesh.h * _SIMPSON_OFFSETS[None, :]
-        object.__setattr__(self, "sample_points", _readonly(pts.reshape(-1)))
         object.__setattr__(self, "sample_weights", _readonly(np.tile(mesh.h * _SIMPSON_WEIGHTS, mesh.n_elements)))
 
     @property

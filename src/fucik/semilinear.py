@@ -6,7 +6,8 @@ asymmetric quadratic functional J into
     E(u) = J(u) - integral of (F(u) + h u),    F(t) = antiderivative of f,
 
 whose critical points are discrete weak solutions of the equation
-A u = alpha u+ - beta u- + f(u) + h.  Because f is bounded, E inherits J's
+A u = alpha u+ - beta u- + f(u) + h; spectrum's kernel evaluates it with
+the problem's forcing (nonlinearity, h).  Because f is bounded, E inherits J's
 saddle geometry: anticoercive on the low subspace, bounded below on the
 manifold of partial maximizers when (alpha, beta) lies strictly below the
 spectral curve.  The solver exploits exactly that structure: phase one
@@ -44,11 +45,11 @@ from .operator import CheckReport, ConditionCheck, EigenBasis, Field, _config_nu
 from .spectrum import (
     FucikParams,
     FucikPoint,
-    _energy_arrays,
+    _functional,
+    _gradient,
     _maximize_t,
-    _neg,
     _negate,
-    _pos,
+    _newton_slope,
     beta_of_alpha,
     maximize_low,
     minimize_on_sphere,
@@ -321,6 +322,11 @@ class SemilinearProblem:
     eigenset: tuple = ()
 
     @property
+    def forcing(self) -> tuple:
+        """(nonlinearity, h): the terms that turn J into E."""
+        return self.nonlinearity, self.h
+
+    @property
     def tol_res(self) -> float:
         return 1e-8 * (1.0 + self.h.norm_l2 + self.nonlinearity.bound)
 
@@ -424,34 +430,16 @@ def build_problem(
 # energy, gradient, residuals
 
 
-# E and its gradient at coeffs, whose field takes the values u_s on the
-# basis's sample grid: the value integrates u_s, the gradient makes one gather
-
-
-def _forcing_integral(problem: SemilinearProblem, u_s: np.ndarray) -> float:
-    integrand = problem.nonlinearity.primitive(u_s) + problem.h.samples * u_s
-    return problem.params.basis.integrate(integrand)
-
-
-def _semilinear_value(problem: SemilinearProblem, coeffs: np.ndarray, u_s: np.ndarray) -> float:
-    p = problem.params
-    return _energy_arrays(p.basis, p.alpha, p.beta, coeffs, u_s) - _forcing_integral(problem, u_s)
-
-
-def _semilinear_gradient_coeffs(problem: SemilinearProblem, coeffs: np.ndarray, u_s: np.ndarray) -> np.ndarray:
-    p = problem.params
-    rep = p.alpha * _pos(u_s) - p.beta * _neg(u_s) + problem.nonlinearity.evaluate(u_s)
-    return p.basis.eigenvalues * coeffs - p.basis.gather(rep) - problem.h.coeffs
-
-
 def semilinear_energy(problem: SemilinearProblem, u: Field) -> float:
     """E(u) = J(u) - integral of (F(u) + h u), all on the shared quadrature."""
-    return _semilinear_value(problem, u.coeffs, u.samples)
+    p = problem.params
+    return _functional(p.basis, p.alpha, p.beta, u.coeffs, u.samples, problem.forcing)[0]
 
 
 def semilinear_gradient(problem: SemilinearProblem, u: Field) -> Field:
     """L2 gradient of E at u in eigenbasis coefficients."""
-    return to_field(problem.params.basis, coeffs=_semilinear_gradient_coeffs(problem, u.coeffs, u.samples))
+    p = problem.params
+    return to_field(p.basis, coeffs=_functional(p.basis, p.alpha, p.beta, u.coeffs, u.samples, problem.forcing)[1])
 
 
 @dataclass(frozen=True)
@@ -468,8 +456,7 @@ def residual_report(problem: SemilinearProblem, u: Field) -> ResidualReport:
     By M-orthonormality of the basis these are exactly the gradient
     coefficients, so the table doubles as a per-mode residual map.
     """
-    g = _semilinear_gradient_coeffs(problem, u.coeffs, u.samples)
-    g.flags.writeable = False
+    g = semilinear_gradient(problem, u).coeffs
     return ResidualReport(max_abs=float(np.max(np.abs(g))), per_mode=g)
 
 
@@ -504,9 +491,11 @@ def _one_sided_integrals(v: Field) -> tuple[float, float]:
 
 def _ray_slope(problem: SemilinearProblem, v: Field) -> float:
     # secant of t -> integral of F(t v) + t h v between the two largest
-    # probes; the secant cancels the bounded offset integral of F - (ray part)
+    # probes; the secant cancels the bounded offset integral of F - (ray part).
+    # That integral is minus E with alpha = beta = 0 over no modes.
     def phi(t):
-        return _forcing_integral(problem, v.basis.sample(t * v.coeffs))
+        u = v.basis.sample(t * v.coeffs)
+        return -_functional(v.basis, 0.0, 0.0, v.coeffs[:0], u, problem.forcing, modes=slice(0))[0]
 
     t1, t2 = 1e3, 1e4
     return (phi(t2) - phi(t1)) / (t2 - t1)
@@ -586,16 +575,11 @@ class SaddleResult:
 
 
 def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.ndarray, tol: float):
-    """Damped Newton max of E(u + v) over the low subspace.
-
-    The shared low-subspace kernel with the problem's forcing; returns its
-    (t, grad_norm, iterations, delta_eff, u, value), delta_eff being the
-    worst observed concavity ratio along accepted iterate pairs (positive =
-    still concave), value E at u less v's quadratic term.
-    """
-    forcing = (problem.nonlinearity, problem.h)
+    """Damped Newton max of E(u + v) over the low subspace: _maximize_t with
+    the problem's forcing, whose delta_eff stays positive while E is concave
+    along the accepted iterates."""
     v_samples = problem.params.basis.sample(v_coeffs)
-    return _maximize_t(problem.params, v_samples, t0, forcing=forcing, tol=tol)
+    return _maximize_t(problem.params, v_samples, t0, forcing=problem.forcing, tol=tol)
 
 
 def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0) -> dict:
@@ -681,9 +665,9 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
                 "admissibility check failed at resonance; pass force=True to search anyway"
             )
 
-    nl = problem.nonlinearity
+    forcing = problem.forcing
     lam = basis.eigenvalues
-    pre = 1.0 / (np.abs(lam[k:] - p.alpha) + (p.beta - p.alpha) + 1.0 + nl.bound)
+    pre = 1.0 / (np.abs(lam[k:] - p.alpha) + (p.beta - p.alpha) + 1.0 + problem.nonlinearity.bound)
     inner_tol = 1e-2 * tol_res
 
     # phase 1: reduced descent over the high subspace
@@ -696,10 +680,10 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
 
     def reduced_eval(v_high, warm_t):
         c = np.concatenate([np.zeros(k), v_high])
-        t_new, _, _, deff, u_s, val = _maximize_low_E(problem, c, warm_t, inner_tol)
+        t_new, _, _, deff, u_s, val, reaction = _maximize_low_E(problem, c, warm_t, inner_tol)
         c[:k] = t_new
         val += 0.5 * float(lam[k:] @ v_high**2)
-        return val, _semilinear_gradient_coeffs(problem, c, u_s), t_new, c, u_s, deff
+        return val, _gradient(basis, c, reaction, forcing), t_new, c, u_s, deff
 
     val, g_full, t_warm, c_cur, u_cur, deff = reduced_eval(v, t_warm)
     g = g_full[k:]
@@ -763,8 +747,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     for _ in range(_NEWTON_ITERS):
         if res <= newton_target:
             break
-        sel = np.where(u_s > 0.0, p.alpha, p.beta) + nl.derivative(u_s)
-        hess = np.diag(lam) - basis.gram(sel)
+        hess = np.diag(lam) - basis.gram(_newton_slope(p.alpha, p.beta, u_s, forcing))
         try:
             step = scipy.linalg.solve(hess, -g_full, check_finite=False)
         except scipy.linalg.LinAlgError:
@@ -776,7 +759,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
         while theta > 1e-12:
             c_new = c + theta * step
             u_new = basis.sample(c_new)
-            g_new = _semilinear_gradient_coeffs(problem, c_new, u_new)
+            val_new, g_new, _ = _functional(basis, p.alpha, p.beta, c_new, u_new, forcing)
             res_new = float(np.linalg.norm(g_new))
             if res_new <= (1.0 - 0.1 * theta) * res:
                 accepted = True
@@ -784,8 +767,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
             theta *= 0.5
         if not accepted:
             break
-        c, g_full, res, u_s = c_new, g_new, res_new, u_new
-        val = _semilinear_value(problem, c, u_s)
+        c, val, g_full, res, u_s = c_new, val_new, g_new, res_new, u_new
         iterations += 1
         trace.append((val, res))
 

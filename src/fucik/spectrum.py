@@ -4,17 +4,20 @@ For spectral parameters (alpha, beta) the quadratic-with-kinks functional
 
     J(u) = 1/2 (<A u, u> - alpha ||u+||^2 - beta ||u-||^2)
 
-is strictly concave in the span of the first k modes whenever alpha exceeds
-lambda_k, so its partial maximizer over that subspace is unique and the
-reduced functional v -> J(maximizer(v) + v) is well defined on the high
-subspace.  Its minimum m(alpha, beta) over the L2-unit sphere of the high
-subspace is positive below the spectral curve and crosses zero exactly on it,
-which turns curve computation into one-dimensional root finding in beta.  By
-the envelope theorem dm/dbeta = -1/2 ||u-||^2 at the minimizer's composite
-field u, so every sphere solve also returns the slope the root search steps
-along.  The curve strictly decreases in alpha, so a traced branch continues
-its search from the previous root: one warm solve there whose value (an upper
-bound on m) is not positive brackets the next root from above.
+is the unforced part (f = 0, h = 0) of the semilinear functional
+E(u) = J(u) - integral of (F(u) + h u); _functional evaluates both, and
+_newton_slope weights their generalized Hessian.  J is strictly concave in
+the span of the first k modes whenever alpha exceeds lambda_k, so its partial
+maximizer over that subspace is unique and the reduced functional
+v -> J(maximizer(v) + v) is well defined on the high subspace.  Its minimum
+m(alpha, beta) over the L2-unit sphere of the high subspace is positive below
+the spectral curve and crosses zero exactly on it, which turns curve
+computation into one-dimensional root finding in beta.  By the envelope
+theorem dm/dbeta = -1/2 ||u-||^2 at the minimizer's composite field u, so
+every sphere solve also returns the slope the root search steps along.  The
+curve strictly decreases in alpha, so a traced branch continues its search
+from the previous root: one warm solve there whose value (an upper bound on
+m) is not positive brackets the next root from above.
 
 Solvers: the partial maximization is a damped semismooth Newton method (the
 gradient is piecewise linear in the low coefficients).  The sphere minimum
@@ -24,9 +27,12 @@ accepts only true decreases; a start that is already stationary is returned
 after one evaluation.  A start it leaves above the stationarity
 tolerance falls back to projected gradient descent and a second refinement.
 Each reduced evaluation samples its high field once; the low-subspace
-Newton hands back the value and the composite samples at its maximizer,
-which give the gradient (one gather) and the sign pattern.  Both steps hand back
-the evaluation they accepted, so no point is evaluated twice.  Quadratures
+Newton hands back the value, the composite samples and the reaction at its
+maximizer, which give the gradient (one gather) and the sign pattern.  Both
+steps hand back the evaluation they accepted, so no point is evaluated
+twice.  The certifying tolerances are relative to lambda_{k+1} and the
+low-subspace Newton's stop to the L2 norm of the high field, so a curve on
+(0, L) is the (0, 1) curve rescaled.  Quadratures
 use the basis's per-element Simpson rule, which integrates products of
 piecewise-linear fields exactly, through the hat interpolation P and the
 tridiagonal hat-product matrix T (Hessians V^T T V); several identities in
@@ -39,6 +45,7 @@ LAPACK handles (potrf, potrs, syevr) bound once at import.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +86,15 @@ class FucikParams:
             )
         if self.beta < self.alpha:
             raise ConfigError("beta < alpha; exchange roles via swap()")
+        # squared gradient norms reach dim (50 lambda_N)^2 (50 lambda_{k+1} is
+        # the bracket cap) and are compared with tol_grad^2
+        lam_n = float(self.basis.eigenvalues[-1])
+        cap = 50.0 * lam_n  # a float product overflows to inf, where ** raises
+        if not (math.isfinite(self.basis.dim * cap * cap) and self.tol_grad**2 >= sys.float_info.min):
+            raise ConfigError(
+                f"squared norms leave the float range at lambda_N = {lam_n!r}, lambda_{{k+1}} = {lam_k1!r}: "
+                "the domain is too short or too long"
+            )
 
     @property
     def k(self) -> int:
@@ -99,7 +115,7 @@ class FucikParams:
 
     @property
     def tol_grad(self) -> float:
-        return 1e-9 * (1.0 + self.lambda_k1)
+        return 1e-9 * self.lambda_k1
 
     @property
     def tol_m(self) -> float:
@@ -190,30 +206,43 @@ def _neg(x):
     return np.maximum(-x, 0.0)
 
 
-# J and its gradient at coeffs, whose field takes the values samples on the
-# basis's sample grid
+def _functional(basis: EigenBasis, alpha: float, beta: float, coeffs, u, forcing=None, modes=slice(None)):
+    """(value, gradient, reaction) of E, or of J when forcing (nonlinearity, h)
+    is None, at the field with coefficients coeffs on modes and samples u: the
+    value less the other modes' quadratic term, the L2 gradient on modes, and
+    the sampled reaction alpha u+ - beta u- (+ f(u)), from which _gradient
+    completes the gradient on other modes without evaluating f again."""
+    up, un = _pos(u), _neg(u)
+    quad = float(basis.eigenvalues[modes] @ coeffs**2)
+    val = 0.5 * (quad - alpha * basis.integrate(up**2) - beta * basis.integrate(un**2))
+    reaction = alpha * up - beta * un
+    if forcing is not None:
+        nl, h = forcing
+        val = val - basis.integrate(nl.primitive(u)) - basis.integrate(h.samples * u)
+        reaction = reaction + nl.evaluate(u)
+    return val, _gradient(basis, coeffs, reaction, forcing, modes), reaction
 
 
-def _energy_arrays(basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray, samples: np.ndarray) -> float:
-    quad = float(basis.eigenvalues @ coeffs**2)
-    return 0.5 * (quad - alpha * basis.integrate(_pos(samples) ** 2) - beta * basis.integrate(_neg(samples) ** 2))
+def _gradient(basis: EigenBasis, coeffs, reaction: np.ndarray, forcing=None, modes=slice(None)) -> np.ndarray:
+    """E's gradient on modes from the field's coefficients there and its reaction."""
+    g = basis.eigenvalues[modes] * coeffs - basis.gather(reaction, modes)
+    return g if forcing is None else g - forcing[1].coeffs[modes]
 
 
-def _gradient_arrays(
-    basis: EigenBasis, alpha: float, beta: float, coeffs: np.ndarray, samples: np.ndarray
-) -> np.ndarray:
-    return basis.eigenvalues * coeffs - basis.gather(alpha * _pos(samples) - beta * _neg(samples))
+def _newton_slope(alpha: float, beta: float, u: np.ndarray, forcing=None) -> np.ndarray:
+    """Generalized derivative of the reaction at u (alpha branch on u > 0)."""
+    sel = np.where(u > 0.0, alpha, beta)
+    return sel if forcing is None else sel + forcing[0].derivative(u)
 
 
 def fucik_energy(params: FucikParams, u: Field) -> float:
     """J(u) with the sampled Simpson quadrature of the one-sided squares."""
-    return _energy_arrays(params.basis, params.alpha, params.beta, u.coeffs, u.samples)
+    return _functional(params.basis, params.alpha, params.beta, u.coeffs, u.samples)[0]
 
 
 def fucik_gradient(params: FucikParams, u: Field) -> Field:
     """L2 gradient of J at u, in eigenbasis coefficients."""
-    g = _gradient_arrays(params.basis, params.alpha, params.beta, u.coeffs, u.samples)
-    return to_field(params.basis, coeffs=g)
+    return to_field(params.basis, coeffs=_functional(params.basis, params.alpha, params.beta, u.coeffs, u.samples)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,46 +264,35 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
     which the bounded f can locally spoil, so a non-ascent step falls back to
     a gradient step.  Without forcing a stall above tol_grad raises
     MaxIterations; with it the caller judges the returned gradient norm.
-    Returns (t, gradient_norm, iterations, delta_eff, u, value): delta_eff
-    is the worst observed concavity ratio along accepted iterate pairs when
-    forced (inf without forcing, where maximize_low checks delta); u holds
-    the composite samples v_samples + sample(t, low) at the returned t, and
-    value the objective there less the high modes' quadratic term.
+    The default tol is relative to the high field's L2 norm.
+    Returns (t, gradient_norm, iterations, delta_eff, u, value, reaction):
+    delta_eff is the worst observed concavity ratio along accepted iterate
+    pairs when forced (inf without forcing, where maximize_low checks
+    delta); u, value and reaction are _functional's at the composite
+    samples u = v_samples + sample(t, low), value less the high modes'
+    quadratic term.
     """
     basis, alpha, beta = params.basis, params.alpha, params.beta
     k = params.k
     lam1, low = basis.eigenvalues[:k], slice(k)
-    nl, bound = None, 0.0
-    if forcing is not None:
-        nl, h_field = forcing
-        bound, h_low, h_samples = nl.bound, h_field.coeffs[:k], h_field.samples
+    bound = 0.0 if forcing is None else forcing[0].bound
 
     def value_grad(t):
         u = v_samples + basis.sample(t, low)
-        up, un = _pos(u), _neg(u)
-        val = 0.5 * (float(lam1 @ t**2) - alpha * basis.integrate(up**2) - beta * basis.integrate(un**2))
-        rep = alpha * up - beta * un
-        if nl is None:
-            return val, lam1 * t - basis.gather(rep, low), u
-        val = val - basis.integrate(nl.primitive(u)) - basis.integrate(h_samples * u)
-        grad = lam1 * t - basis.gather(rep + nl.evaluate(u), low) - h_low
-        return val, grad, u
+        return (*_functional(basis, alpha, beta, t, u, forcing, low), u)
 
     t = np.asarray(t0, dtype=float).copy()
-    val, grad, u = value_grad(t)
+    val, grad, reaction, u = value_grad(t)
     if tol is None:
-        tol = 1e-4 * params.tol_grad * (1.0 + math.sqrt(v_samples.dot(v_samples)))
+        tol = 1e-4 * params.tol_grad * (1.0 + math.sqrt(basis.integrate(v_samples**2)))
     delta_eff = math.inf
     it = 0
     while it < _LOW_NEWTON_ITERS:
         gn = math.sqrt(grad.dot(grad))
         if gn <= tol:
             break
-        # minus the generalized Hessian, with the alpha branch on u >= 0
-        sel = np.where(u > 0.0, alpha, beta)
-        if nl is not None:
-            sel = sel + nl.derivative(u)
-        neg_h = basis.gram(sel, low)
+        # minus the generalized Hessian
+        neg_h = basis.gram(_newton_slope(alpha, beta, u, forcing), low)
         neg_h.reshape(-1)[:: k + 1] -= lam1
         factor, info = _potrf(neg_h, clean=0)
         slope = 0.0
@@ -290,28 +308,28 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
         accepted = False
         while theta > 1e-10:
             t_new = t + theta * step
-            val_new, grad_new, u_new = value_grad(t_new)
+            val_new, grad_new, reaction_new, u_new = value_grad(t_new)
             if val_new >= val + 0.3 * theta * slope or math.sqrt(grad_new.dot(grad_new)) <= 0.5 * gn:
                 accepted = True
                 break
             theta *= 0.5
         if not accepted:
             break
-        if nl is not None:
+        if forcing is not None:
             dt = t_new - t
             energy_sq = float(lam1 @ dt**2)
             if energy_sq > 1e-20:
                 delta_eff = min(delta_eff, -float((grad_new - grad) @ dt) / energy_sq)
-        t, val, grad, u = t_new, val_new, grad_new, u_new
+        t, val, grad, reaction, u = t_new, val_new, grad_new, reaction_new, u_new
         it += 1
     gn = math.sqrt(grad.dot(grad))
-    if nl is None and gn > params.tol_grad:
+    if forcing is None and gn > params.tol_grad:
         raise MaxIterations(
             f"low-subspace maximization stalled at gradient norm {gn:.3e}",
             best=t,
             residual=gn,
         )
-    return t, gn, it, delta_eff, u, val
+    return t, gn, it, delta_eff, u, val, reaction
 
 
 def maximize_low(params: FucikParams, v: Field) -> Field:
@@ -344,7 +362,7 @@ def _check_concavity(params: FucikParams, v: Field, t1: np.ndarray, t2: np.ndarr
     def gradient(t):
         c = v.coeffs.copy()
         c[:k] += t
-        return _gradient_arrays(basis, params.alpha, params.beta, c, basis.sample(c))
+        return _functional(basis, params.alpha, params.beta, c, basis.sample(c))[1]
 
     lhs = float((gradient(t2) - gradient(t1))[:k] @ dt)
     slack = 1e-6 * (1.0 + energy_sq) * (1.0 + params.beta)
@@ -357,7 +375,7 @@ def _check_concavity(params: FucikParams, v: Field, t1: np.ndarray, t2: np.ndarr
 def reduced_energy(params: FucikParams, v: Field) -> float:
     """J evaluated at maximize_low(v) + v."""
     c = maximize_low(params, v).coeffs + v.coeffs
-    return _energy_arrays(params.basis, params.alpha, params.beta, c, params.basis.sample(c))
+    return _functional(params.basis, params.alpha, params.beta, c, params.basis.sample(c))[0]
 
 
 def reduced_gradient(params: FucikParams, v: Field) -> Field:
@@ -367,7 +385,7 @@ def reduced_gradient(params: FucikParams, v: Field) -> Field:
     the full derivative of the reduced functional.
     """
     c = maximize_low(params, v).coeffs + v.coeffs
-    g = _gradient_arrays(params.basis, params.alpha, params.beta, c, params.basis.sample(c))
+    g = _functional(params.basis, params.alpha, params.beta, c, params.basis.sample(c))[1]
     g[: params.k] = 0.0
     return to_field(params.basis, coeffs=g)
 
@@ -411,15 +429,15 @@ class _SphereSolver:
     def eval(self, vh: np.ndarray):
         """Reduced value, tangential gradient, full coefficients and composite
         samples at unit vh: one high sample product, the low-subspace Newton
-        (whose last samples and value are reused), and one gather."""
+        (whose last samples, value and reaction are reused), and one gather."""
         p, k, basis = self.params, self.k, self.basis
         coeffs = np.zeros(basis.dim)
         coeffs[k:] = vh
-        t, _, _, _, u, val = _maximize_t(p, basis.sample(vh, self.high), self.t_warm)
+        t, _, _, _, u, val, reaction = _maximize_t(p, basis.sample(vh, self.high), self.t_warm)
         self.t_warm = t
         coeffs[:k] = t
         val += 0.5 * float(self.lam[k:] @ vh**2)
-        grad = self.lam[k:] * vh - basis.gather(p.alpha * _pos(u) - p.beta * _neg(u), self.high)
+        grad = _gradient(basis, vh, reaction, modes=self.high)
         tangential = grad - (2.0 * val) * vh
         return val, tangential, coeffs, u
 
@@ -853,4 +871,4 @@ def eigen_residual(basis: EigenBasis, alpha: float, beta: float, w: Field) -> fl
     Works for either ordering of the parameters, so swapped points can be
     checked directly.
     """
-    return float(np.linalg.norm(_gradient_arrays(basis, alpha, beta, w.coeffs, w.samples)))
+    return float(np.linalg.norm(_functional(basis, alpha, beta, w.coeffs, w.samples)[1]))

@@ -38,15 +38,16 @@ def maximize_t_reference(params, v_samples, t0, forcing=None, tol=None):
         val = 0.5 * (float(lam1 @ t**2) - alpha * basis.integrate(up**2) - beta * basis.integrate(un**2))
         rep = alpha * up - beta * un
         if nl is None:
-            return val, lam1 * t - basis.gather(rep, low), u
+            return val, lam1 * t - basis.gather(rep, low), u, rep
         val = val - basis.integrate(nl.primitive(u)) - basis.integrate(h_samples * u)
-        grad = lam1 * t - basis.gather(rep + nl.evaluate(u), low) - h_low
-        return val, grad, u
+        rep = rep + nl.evaluate(u)
+        grad = lam1 * t - basis.gather(rep, low) - h_low
+        return val, grad, u, rep
 
     t = np.asarray(t0, dtype=float).copy()
-    val, grad, u = value_grad(t)
+    val, grad, u, rep = value_grad(t)
     if tol is None:
-        tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
+        tol = 1e-4 * params.tol_grad * (1.0 + math.sqrt(basis.integrate(v_samples**2)))
     delta_eff = math.inf
     it = 0
     while it < _LOW_NEWTON_ITERS:
@@ -70,7 +71,7 @@ def maximize_t_reference(params, v_samples, t0, forcing=None, tol=None):
         accepted = False
         while theta > 1e-10:
             t_new = t + theta * step
-            val_new, grad_new, u_new = value_grad(t_new)
+            val_new, grad_new, u_new, rep_new = value_grad(t_new)
             if val_new >= val + 0.3 * theta * slope or float(np.linalg.norm(grad_new)) <= 0.5 * gn:
                 accepted = True
                 break
@@ -82,12 +83,12 @@ def maximize_t_reference(params, v_samples, t0, forcing=None, tol=None):
             energy_sq = float(lam1 @ dt**2)
             if energy_sq > 1e-20:
                 delta_eff = min(delta_eff, -float((grad_new - grad) @ dt) / energy_sq)
-        t, val, grad, u = t_new, val_new, grad_new, u_new
+        t, val, grad, u, rep = t_new, val_new, grad_new, u_new, rep_new
         it += 1
     gn = float(np.linalg.norm(grad))
     if nl is None and gn > params.tol_grad:
         raise MaxIterations(f"low-subspace maximization stalled at gradient norm {gn:.3e}", best=t, residual=gn)
-    return t, gn, it, delta_eff, u, val
+    return t, gn, it, delta_eff, u, val, rep
 
 
 def frozen_minimum_reference(h, k):

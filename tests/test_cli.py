@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -333,6 +334,48 @@ def test_validate_mode_passes_against_oracle(tmp_path):
     assert sources == {"solver", "oracle"}
     n_solver = sum(1 for r in rows if r[4] == "solver")
     assert n_solver == len(doc["checks"])
+
+
+def test_validate_mode_passes_on_a_long_domain(tmp_path):
+    # the curve scales like L^-2; an absolute floor in tol_grad once made
+    # every certificate vacuous here, and validate missed by rel_diff 0.999
+    out = tmp_path / "val"
+    assert _run(["--mode", "validate", "--domain=0,1e8", "--elements", "200", "--out", str(out)]) == 0
+    doc = json.loads((out / "validate.json").read_text())
+    assert doc["passed"] and len(doc["checks"]) == 8
+    assert all(c["rel_diff"] <= 0.01 for c in doc["checks"])
+
+
+def _curve_on(tmp_path, kernel, length):
+    out = tmp_path / f"curve-{length!r}"
+    assert _run(["--mode", "curve", "--kernel", kernel, f"--domain=0,{length!r}", "--elements", "16",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "curve.json").read_text())
+    return len(doc["annotations"]), [p["beta"] / doc["lambda_k1"] for p in doc["samples"]]
+
+
+@pytest.mark.parametrize("kernel", ["fractional:s=0.5", "local"])
+@pytest.mark.parametrize("length", [1e-14, 1e-8, 1e8, 1e20])
+def test_curve_scales_with_the_domain(tmp_path, kernel, length):
+    # the curve on (0, L) is the (0, 1) curve times L^-2s (L^-2 locally), so
+    # beta / lambda_{k+1} at each sample may not depend on L
+    annotations, ratios = _curve_on(tmp_path, kernel, length)
+    ref_annotations, ref_ratios = _curve_on(tmp_path, kernel, 1.0)
+    assert (annotations, len(ratios)) == (ref_annotations, len(ref_ratios)) == (1, 8)
+    assert all(abs(r / q - 1.0) <= 1e-9 for r, q in zip(ratios, ref_ratios))
+
+
+@pytest.mark.parametrize("inside, outside", [(5e-150, 4e-150), (5e-150, 1e-200), (2e146, 3e146)],
+                         ids=["short", "far-short", "long"])
+def test_curve_mode_refuses_domains_whose_squared_norms_leave_the_float_range(tmp_path, capsys, inside, outside):
+    argv = ["--mode", "curve", "--kernel", "fractional:s=0.5", "--elements", "16"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([*argv, f"--domain=0,{inside!r}", "--out", str(tmp_path / "inside")]) == 0
+    out = tmp_path / "outside"
+    assert _run([*argv, f"--domain=0,{outside!r}", "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_mode_needs_local_kernel(tmp_path, capsys):

@@ -50,7 +50,7 @@ def _steep_case(basis):
     # positive definite
     p = fucik.FucikParams(2.5, 3.0, basis)
     h = fucik.to_field(basis, coeffs=np.r_[1.0, np.zeros(basis.dim - 1)])
-    return p, np.zeros(len(basis.sample_points)), np.zeros(basis.k), (_steep(20.0), h)
+    return p, np.zeros(len(basis.sample_weights)), np.zeros(basis.k), (_steep(20.0), h)
 
 
 def _cases(frac96, local64):
@@ -74,6 +74,7 @@ def test_maximize_t_equals_the_cho_factor_reference(frac96, local64):
         ref = maximize_t_reference(p, v_samples, t0, forcing=forcing)
         assert got[2] == ref[2] > 0
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[4], ref[4])
+        assert np.array_equal(got[6], ref[6])
         assert (got[1], got[3], got[5]) == (ref[1], ref[3], ref[5])
 
 

@@ -510,7 +510,6 @@ def test_sample_rule_integrates_squares_exactly(frac32):
 
 def test_sample_grid_shape(frac32):
     n = frac32.operator.mesh.n_elements
-    assert frac32.sample_points.shape == (5 * n,)
     assert frac32.sample_weights.shape == (5 * n,)
     assert sample_table(frac32).shape == (5 * n, frac32.dim)
     assert frac32.sample(np.ones(frac32.dim)).shape == (5 * n,)

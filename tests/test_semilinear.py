@@ -417,13 +417,13 @@ def test_low_max_of_E_with_zero_forcing_is_low_max_of_J(kernel, domain, k):
         t0 = rng.standard_normal(k)
         v_samples = b.sample(c)
         assert_close(v_samples, table @ c)
-        tol = 1e-4 * params.tol_grad * (1.0 + float(np.linalg.norm(v_samples)))
-        t_j, gn_j, it_j, _, u_j, val_j = _maximize_t(params, v_samples, t0)
-        t_e, gn_e, it_e, _, u_e, val_e = _maximize_low_E(prob, c, t0, tol)
+        tol = 1e-4 * params.tol_grad * (1.0 + math.sqrt(b.integrate(v_samples**2)))
+        t_j, gn_j, it_j, _, u_j, val_j, r_j = _maximize_t(params, v_samples, t0)
+        t_e, gn_e, it_e, _, u_e, val_e, r_e = _maximize_low_E(prob, c, t0, tol)
         assert it_j > 0
         assert np.array_equal(t_e, t_j)
         assert (gn_e, it_e, val_e) == (gn_j, it_j, val_j)
-        assert np.array_equal(u_e, u_j)
+        assert np.array_equal(u_e, u_j) and np.array_equal(r_e, r_j)
         c[:k] = t_j
         assert_close(u_j, table @ c)
         # value leaves out the high modes' quadratic term
@@ -479,8 +479,11 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
     small = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
     prob = fucik.build_problem(fucik.FucikParams(1.8, 2.1, small), fucik.Nonlinearity.tanh(),
                                _field(small, [1.2, -0.6, 0.4]))
-    gradient, inner = semilinear._semilinear_gradient_coeffs, semilinear._maximize_low_E
-    events = []  # None per inner maximization (one per reduced evaluation), else the gradient's point
+    gradient, functional, inner = semilinear._gradient, semilinear._functional, semilinear._maximize_low_E
+    # None per inner maximization (one per reduced evaluation), else the
+    # point of a phase-1 gradient (gathered from the inner maximization's
+    # reaction) or of a phase-2 value and gradient
+    events = []
     sample, products = fucik.EigenBasis.sample, []
     assert prob.h.samples.shape == (50,)  # h's product is cached before counting
 
@@ -489,15 +492,20 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
             products.append(None)
         return sample(self, coeffs, modes)
 
-    def counted_gradient(problem, coeffs, u_s):
+    def counted_gradient(basis, coeffs, *args, **kwargs):
         events.append(coeffs.copy())
-        return gradient(problem, coeffs, u_s)
+        return gradient(basis, coeffs, *args, **kwargs)
+
+    def counted_functional(basis, alpha, beta, coeffs, *args, **kwargs):
+        events.append(coeffs.copy())
+        return functional(basis, alpha, beta, coeffs, *args, **kwargs)
 
     def counted_inner(*args, **kwargs):
         events.append(None)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(semilinear, "_semilinear_gradient_coeffs", counted_gradient)
+    monkeypatch.setattr(semilinear, "_gradient", counted_gradient)
+    monkeypatch.setattr(semilinear, "_functional", counted_functional)
     monkeypatch.setattr(semilinear, "_maximize_low_E", counted_inner)
     monkeypatch.setattr(fucik.EigenBasis, "sample", counted_sample)
     res = fucik.solve(prob)
@@ -536,19 +544,21 @@ def _per_term_value_and_gradient(prob, c):
 def test_E_value_and_gradient_from_one_sample_product(basis, ctor):
     # the value and gradient at coeffs both come from its one sample
     # product, and agree with the per-term table composition to RTOL
-    from fucik.semilinear import _semilinear_gradient_coeffs, _semilinear_value
+    from fucik.spectrum import _functional
 
     prob = _nonres_problem(basis, ctor(), _field(basis, [0.3, -0.2, 0.1]), frac=0.3)
+    p = prob.params
     rng = np.random.default_rng(29)
     for scale in (0.1, 1.0, 10.0):
         c = scale * rng.standard_normal(basis.dim)
         val, grad = _per_term_value_and_gradient(prob, c)
         u_s = basis.sample(c)
-        assert_close(_semilinear_value(prob, c, u_s), val)
-        assert_close(_semilinear_gradient_coeffs(prob, c, u_s), grad)
+        e_val, e_grad, _ = _functional(basis, p.alpha, p.beta, c, u_s, prob.forcing)
+        assert_close(e_val, val)
+        assert_close(e_grad, grad)
         u = fucik.to_field(basis, coeffs=c)
-        assert fucik.semilinear_energy(prob, u) == _semilinear_value(prob, c, u_s)
-        assert np.array_equal(fucik.semilinear_gradient(prob, u).coeffs, _semilinear_gradient_coeffs(prob, c, u_s))
+        assert fucik.semilinear_energy(prob, u) == e_val
+        assert np.array_equal(fucik.semilinear_gradient(prob, u).coeffs, e_grad)
 
 
 def test_solve_detects_diverging_ray(basis):

@@ -356,9 +356,8 @@ class _ReferenceSolver(spectrum._SphereSolver):
         t = spectrum._maximize_t(p, s[:, k:] @ vh, self.t_warm)[0]
         self.t_warm = t
         coeffs[:k] = t
-        val = spectrum._energy_arrays(basis, p.alpha, p.beta, coeffs, s @ coeffs)
-        grad = spectrum._gradient_arrays(basis, p.alpha, p.beta, coeffs, s @ coeffs)[k:]
-        return val, grad - (2.0 * val) * vh, coeffs, s @ coeffs
+        val, grad, _ = spectrum._functional(basis, p.alpha, p.beta, coeffs, s @ coeffs)
+        return val, grad[k:] - (2.0 * val) * vh, coeffs, s @ coeffs
 
 
 def _reference_sphere_min(params, seed=0):
