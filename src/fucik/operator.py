@@ -457,7 +457,11 @@ class EigenBasis:
     default): sample(c) = P V_m c, gather(v) = V_m^T P^T (w v),
     integrate(v) = w . v and gram(v) = V_m^T T V_m.  P interpolates nodal
     values at the points (two nonzeros per row) and T = P^T diag(w v) P is
-    tridiagonal, so no 5n x N table of eigenfunction samples is formed.
+    tridiagonal, so no 5n x N table of eigenfunction samples is formed.  The
+    low modes alone (modes = slice(k)) are kept sampled, as the 5n x k table
+    low_samples = P V_low, because the low-subspace Newton reads them at
+    every iteration and a table product costs fewer numpy calls than one
+    through P.
     """
 
     operator: GalerkinOperator
@@ -480,6 +484,10 @@ class EigenBasis:
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "vectors", _readonly(self.vectors))
         object.__setattr__(self, "sample_weights", _readonly(np.tile(mesh.h * _SIMPSON_WEIGHTS, mesh.n_elements)))
+        full = np.zeros((n + 2, self.k))
+        full[1:-1] = self.vectors[:, : self.k]
+        low = full[:-1, None] * _HATS[0][:, None] + full[1:, None] * _HATS[1][:, None]
+        object.__setattr__(self, "low_samples", _readonly(low.reshape(-1, self.k)))
 
     @property
     def dim(self) -> int:
@@ -497,15 +505,22 @@ class EigenBasis:
         """Same decomposition, different split index."""
         return replace(self, k=k)
 
+    def _low(self, modes) -> bool:
+        return type(modes) is slice and modes == slice(self.k)
+
     def sample(self, coeffs: np.ndarray, modes=slice(None)) -> np.ndarray:
         """Values at the sample points of the field with these coefficients."""
         # ndarray.dot: half of matmul's per-call cost on the small products
+        if self._low(modes):
+            return self.low_samples.dot(coeffs)
         full = np.zeros(len(self.vectors) + 2)
         full[1:-1] = self.vectors[:, modes].dot(coeffs)
         return (full[:-1, None] * _HATS[0] + full[1:, None] * _HATS[1]).reshape(-1)
 
     def gather(self, values: np.ndarray, modes=slice(None)) -> np.ndarray:
         """Integrals of the sampled values against each eigenfunction."""
+        if self._low(modes):
+            return self.low_samples.T.dot(self.sample_weights * values)
         per_element = (self.sample_weights * values).reshape(-1, 5).dot(_HATS.T)
         # interior node i is the left node of element i, the right of i - 1
         return self.vectors[:, modes].T.dot(per_element[1:, 0] + per_element[:-1, 1])
@@ -515,19 +530,26 @@ class EigenBasis:
 
     def gram(self, values: np.ndarray, modes=slice(None)) -> np.ndarray:
         """Integrals of values * phi_i * phi_j."""
+        if self._low(modes):
+            s = self.low_samples
+            return s.T.dot((self.sample_weights * values)[:, None] * s)
         per_element = (self.sample_weights * values).reshape(-1, 5).dot(_HAT_PRODUCTS.T)
-        diag, off = per_element[1:, 0] + per_element[:-1, 1], per_element[1:-1, 2]
         v = self.vectors[:, modes]
-        tv = diag[:, None] * v
-        tv[:-1] += off[:, None] * v[1:]
-        tv[1:] += off[:, None] * v[:-1]
-        return v.T.dot(tv)
+        return v.T.dot(_tridiagonal_times(per_element[1:, 0] + per_element[:-1, 1], per_element[1:-1, 2], v))
 
     def coeffs_from_nodal(self, nodal: np.ndarray) -> np.ndarray:
         return self.vectors.T @ (self.operator.mass @ nodal)
 
     def nodal_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return self.vectors @ coeffs
+
+
+def _tridiagonal_times(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v for the symmetric tridiagonal T with this diagonal and off-diagonal."""
+    tv = diag[:, None] * v
+    tv[:-1] += off[:, None] * v[1:]
+    tv[1:] += off[:, None] * v[:-1]
+    return tv
 
 
 @single_threaded()
@@ -537,7 +559,8 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     Runs on one BLAS thread: at the sizes the CLI uses, numpy's and scipy's
     OpenBLAS pools contend for the cores and slow the solve down.  V is kept
     in one C-ordered array, and each certificate V^T (X V) needs one N x N
-    temporary besides its own storage.  Raises
+    temporary besides its own storage; the P1 mass is tridiagonal, so M V
+    is formed from its three diagonals.  Raises
     FactorizationFailure when the mass matrix is not positive definite or
     the returned basis misses its orthonormality certificates, and
     DegenerateSplit when lambda_k and lambda_{k+1} coincide to tolerance.
@@ -553,15 +576,15 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     signs[signs == 0.0] = 1.0
     V = np.multiply(V, signs, order="C")
 
-    def defect(matrix: np.ndarray, diagonal) -> float:
-        cert = V.T @ (matrix @ V)
+    def defect(product: np.ndarray, diagonal) -> float:
+        cert = V.T @ product
         cert[np.diag_indices_from(cert)] -= diagonal
         return float(np.max(np.abs(cert, out=cert)))
 
-    ortho_defect = defect(op.mass, 1.0)
+    ortho_defect = defect(_tridiagonal_times(np.diagonal(op.mass), np.diagonal(op.mass, 1), V), 1.0)
     if ortho_defect > 1e-10:
         raise FactorizationFailure(f"basis not M-orthonormal (defect {ortho_defect:.2e})")
-    diag_defect = defect(op.stiffness, lam)
+    diag_defect = defect(op.stiffness @ V, lam)
     if diag_defect > 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
         raise FactorizationFailure(f"basis does not diagonalize A (defect {diag_defect:.2e})")
     if lam[0] <= 0.0:

@@ -24,7 +24,9 @@ gradient is piecewise linear in the low coefficients).  The sphere minimum
 runs a sign-pattern-freeze refinement from each start: it solves the exact
 quadratic obtained by freezing the positive/negative sample pattern and
 accepts only true decreases; a start that is already stationary is returned
-after one evaluation.  A start it leaves above the stationarity
+after one evaluation.  One (alpha, beta) solve factors each sign pattern
+once, and the frozen quadratic's low maximizer starts the low-subspace
+Newton at each candidate step.  A start it leaves above the stationarity
 tolerance falls back to projected gradient descent and a second refinement.
 Each reduced evaluation samples its high field once; the low-subspace
 Newton hands back the value, the composite samples and the reaction at its
@@ -399,16 +401,19 @@ _FREEZE_ITERS = 40
 
 
 def _frozen_minimum(h: np.ndarray, k: int):
-    """(schur, mu, vec): the Schur complement of h's leading k x k block and
-    its lowest eigenpair, or None when a LAPACK call fails.  -h11 is
-    positive definite for a frozen Hessian (lambda_j < alpha <= beta for
-    j <= k); syevr reads the upper triangle of the complement."""
+    """(schur, mu, vec, lift): the Schur complement of h's leading k x k
+    block, its lowest eigenpair, and the low lift L = -h11^-1 h12 (k x (N-k)),
+    or None when a LAPACK call fails.  -h11 is positive definite for a
+    frozen Hessian (lambda_j < alpha <= beta for j <= k); syevr reads the
+    upper triangle of the complement.  L v maximizes the frozen quadratic
+    over the low coefficients at high coefficients v."""
     factor, info = _potrf(-h[:k, :k], clean=0)
     if info:
         return None
-    schur = h[k:, k:] + h[:k, k:].T @ _potrs(factor, h[:k, k:])[0]
+    lift = _potrs(factor, h[:k, k:])[0]
+    schur = h[k:, k:] + h[:k, k:].T @ lift
     mu, vec, _, _, info = _syevr(schur, range="I", il=1, iu=1)
-    return None if info else (schur, mu[0], vec[:, 0])
+    return None if info else (schur, mu[0], vec[:, 0], lift)
 
 
 class _SphereSolver:
@@ -416,6 +421,9 @@ class _SphereSolver:
 
     descend and freeze_refine return (vh, eval(vh), accepted steps): the
     point they stop at together with the evaluation that accepted it.
+    frozen maps a sign pattern's bytes to its frozen step (the Schur
+    eigenvector and the low lift, O(N) each; None when LAPACK failed), so
+    starts that revisit a pattern solve it once.
     """
 
     def __init__(self, params: FucikParams):
@@ -425,6 +433,7 @@ class _SphereSolver:
         self.lam = self.basis.eigenvalues
         self.high = slice(self.k, None)
         self.t_warm = np.zeros(self.k)
+        self.frozen = {}
 
     def eval(self, vh: np.ndarray):
         """Reduced value, tangential gradient, full coefficients and composite
@@ -489,9 +498,11 @@ class _SphereSolver:
         sphere minimum is the smallest eigenpair of a Schur complement; steps
         are accepted (with damping) only on true decrease, and the iteration
         terminates at a pattern fixed point where the frozen and true
-        gradients coincide.  A start whose gradient is already below 0.05
-        tol_grad (the certifying solve's warm start at a located root) is
-        returned after its one evaluation.
+        gradients coincide.  Each candidate's low-subspace Newton starts from
+        the frozen lift, its exact low maximizer while the pattern holds.  A
+        start whose gradient is already below 0.05 tol_grad (the certifying
+        solve's warm start at a located root) is returned after its one
+        evaluation.
         """
         p, k = self.params, self.k
         ev = self.eval(vh)
@@ -502,12 +513,15 @@ class _SphereSolver:
             gn = math.sqrt(g.dot(g))
             if gn <= 0.05 * p.tol_grad:
                 break
-            h = -(p.beta - p.alpha) * self.basis.gram(~pattern)
-            h.reshape(-1)[:: len(h) + 1] += self.lam - p.alpha
-            frozen = _frozen_minimum(h, k)
-            if frozen is None:
+            key = pattern.tobytes()
+            if key not in self.frozen:
+                h = -(p.beta - p.alpha) * self.basis.gram(~pattern)
+                h.reshape(-1)[:: len(h) + 1] += self.lam - p.alpha
+                step = _frozen_minimum(h, k)
+                self.frozen[key] = None if step is None else step[2:]
+            if self.frozen[key] is None:
                 break
-            v_new = frozen[2]
+            v_new, lift = self.frozen[key]
             if float(v_new @ vh) < 0.0:
                 v_new = -v_new
             # accept on true-value decrease, or (near the optimum, where value
@@ -519,6 +533,7 @@ class _SphereSolver:
                 nrm = math.sqrt(cand.dot(cand))
                 if nrm > 1e-12:
                     cand /= nrm
+                    self.t_warm = lift @ cand
                     ev_new = self.eval(cand)
                     if ev_new[0] < val - 1e-15 * (1.0 + abs(val)) or math.sqrt(ev_new[1].dot(ev_new[1])) < 0.5 * gn:
                         improved = True

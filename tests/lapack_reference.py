@@ -5,8 +5,9 @@ maximize_t_reference is spectrum._maximize_t with cho_factor/cho_solve and
 np.linalg.norm.  Those wrappers run the same potrf/potrs arithmetic on the
 same matrix, so the package must agree with it exactly.
 
-frozen_minimum_reference forms the Schur complement with a symmetric
-indefinite solve, symmetrizes it, and takes its lowest eigenpair with eigh.
+frozen_minimum_reference forms the Schur complement and the low lift with a
+symmetric indefinite solve, symmetrizes the complement, and takes its lowest
+eigenpair with eigh.
 The package factors -h11 by Cholesky instead and calls syevr with its
 default workspace, so the two agree to rounding: RTOL bounds the
 differences relative to the 2-norm of the reference complement.
@@ -92,10 +93,11 @@ def maximize_t_reference(params, v_samples, t0, forcing=None, tol=None):
 
 
 def frozen_minimum_reference(h, k):
-    """(schur, mu, vec) as the frozen step formed them through solve and eigh."""
+    """(schur, mu, vec, lift) as the frozen step formed them through solve
+    and eigh; lift = -h11^-1 h12."""
     h11, h12 = h[:k, :k], h[:k, k:]
     sol = scipy.linalg.solve(h11, h12, assume_a="sym", check_finite=False)
     schur = h[k:, k:] - h12.T @ sol
     schur = 0.5 * (schur + schur.T)
     mu, vec = scipy.linalg.eigh(schur, subset_by_index=[0, 0], check_finite=False)
-    return schur, mu[0], vec[:, 0]
+    return schur, mu[0], vec[:, 0], -sol

@@ -115,9 +115,11 @@ def test_frozen_minimum_matches_the_solve_and_eigh_reference(s, elements, k, mon
         spectrum._SphereSolver(p).freeze_refine(start)
     assert seen
     for h, kk, out in seen:
-        schur, mu, vec = out
-        ref_schur, ref_mu, ref_vec = frozen_minimum_reference(h, kk)
+        schur, mu, vec, lift = out
+        ref_schur, ref_mu, ref_vec, ref_lift = frozen_minimum_reference(h, kk)
         scale = float(np.linalg.norm(ref_schur, 2))
+        assert lift.shape == ref_lift.shape == (kk, len(h) - kk)
+        assert float(np.max(np.abs(lift - ref_lift))) <= RTOL * float(np.max(np.abs(ref_lift)))
         assert float(np.max(np.abs(schur - ref_schur))) <= RTOL * scale
         assert abs(mu - ref_mu) <= RTOL * scale
         # the eigenvector moves by about roundoff / (relative eigen-gap), and

@@ -537,6 +537,35 @@ def test_sample_methods_are_the_table_expressions(frac32, part):
     assert np.array_equal(basis.gram(mask, modes), basis.gram(mask.astype(float), modes))
 
 
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_low_sample_table_matches_the_hat_products(frac32, k):
+    # modes = slice(k) reads the basis's 5n x k table of the low modes; the
+    # same columns selected by index go through P and T
+    basis = frac32.with_k(k)
+    low, by_index = slice(k), list(range(k))
+    assert basis.low_samples.shape == (basis.sample_weights.shape[0], k)
+    assert_close(basis.low_samples, sample_table(basis)[:, :k])
+    rng = np.random.default_rng(29)
+    c = rng.standard_normal(k)
+    values = rng.standard_normal(basis.sample_weights.shape[0])
+    mask = values > 0.0
+    assert_close(basis.sample(c, low), basis.sample(c, by_index))
+    assert_close(basis.gather(values, low), basis.gather(values, by_index))
+    assert_close(basis.gram(values, low), basis.gram(values, by_index))
+    assert_close(basis.gram(mask, low), basis.gram(mask, by_index))
+    assert np.array_equal(basis.gram(mask, low), basis.gram(mask.astype(float), low))
+
+
+def test_with_k_samples_its_own_low_modes(frac32):
+    # the table belongs to the basis instance, so a new split index gets a
+    # table of its own width and the original keeps its own
+    wide = frac32.with_k(5)
+    assert wide.low_samples.shape[1] == 5
+    assert frac32.low_samples.shape[1] == frac32.k == 1
+    assert np.array_equal(wide.low_samples[:, :1], frac32.low_samples)
+    assert wide.with_k(2).low_samples.shape[1] == 2
+
+
 @functools.cache
 def _property_basis(n_elements):
     return _fractional_basis(n_elements, k=min(3, n_elements - 2))

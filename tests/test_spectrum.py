@@ -432,7 +432,7 @@ def frac96():
 
 def test_trace_curve_sphere_evaluation_budget(frac96, monkeypatch):
     # descent before refinement took 5,115 evaluations on this trace, the
-    # bisection-and-secant root search 833 (553 now)
+    # bisection-and-secant root search 833 (328 now)
     evaluate = spectrum._SphereSolver.eval
     calls = []
 
@@ -449,7 +449,8 @@ def test_trace_curve_sphere_evaluation_budget(frac96, monkeypatch):
 def test_continued_trace_sphere_evaluation_budget(frac96, monkeypatch):
     # 553 evaluations with a cold bracket at every alpha and a full
     # refinement of the certifying solve's stationary warm start, 382 with
-    # the chosen start and its tied rivals evaluated again after their steps
+    # the chosen start and its tied rivals evaluated again after their
+    # steps, 328 since each step hands back the evaluation it accepted
     evaluate = spectrum._SphereSolver.eval
     calls = []
 
@@ -461,6 +462,33 @@ def test_continued_trace_sphere_evaluation_budget(frac96, monkeypatch):
     branch = fucik.trace_curve(frac96, n_samples=5, seed=0)
     assert len(branch.samples) == 5
     assert len(calls) <= 340
+
+
+def test_trace_curve_frozen_step_budget(frac96, monkeypatch):
+    # 180 frozen steps on this trace when every refinement factored its
+    # patterns afresh, 150 once each sphere solve keeps them; a solver that
+    # meets a pattern again must not factor it again, and since the frozen
+    # Hessian is a function of the pattern, equal patterns give equal bytes
+    frozen, refine = spectrum._frozen_minimum, spectrum._SphereSolver.freeze_refine
+    current, steps = [], []
+
+    def tracked(self, vh):
+        current.append(self)
+        try:
+            return refine(self, vh)
+        finally:
+            current.pop()
+
+    def counted(h, k):
+        steps.append((current[-1], hash(h.tobytes())))
+        return frozen(h, k)
+
+    monkeypatch.setattr(spectrum._SphereSolver, "freeze_refine", tracked)
+    monkeypatch.setattr(spectrum, "_frozen_minimum", counted)
+    branch = fucik.trace_curve(frac96, n_samples=5, seed=0)
+    assert len(branch.samples) == 5
+    assert len(steps) <= 150
+    assert len(set(steps)) == len(steps)
 
 
 def test_freeze_refine_returns_a_stationary_start_unchanged(frac96, monkeypatch):
