@@ -75,6 +75,8 @@ _HAT_PRODUCTS = np.array([_HATS[0] ** 2, _HATS[1] ** 2, _HATS[0] * _HATS[1]])
 _GAUSS_ORDER = 8
 # Array entries formatted per JSON chunk: few number strings alive at once.
 _JSON_BLOCK = 4096
+# Log-grid points of validate_kernel's trapezoid integrals.
+_LOG_GRID_POINTS = 4000
 
 
 def _config_number(value, what: str) -> float:
@@ -181,9 +183,9 @@ class ValidationReport(CheckReport):
     checks: tuple[ConditionCheck, ...]
 
 
-def _log_grid_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 4000) -> float:
+def _log_grid_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """Trapezoid on a log grid of |x| over [lo, hi], one sign of the axis."""
-    t = np.linspace(math.log(lo), math.log(hi), n)
+    t = np.linspace(math.log(lo), math.log(hi), _LOG_GRID_POINTS)
     x = np.exp(t)
     return float(np.trapezoid(f(x) * x, t))
 
@@ -597,25 +599,23 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
 
 @dataclass(frozen=True)
 class Field:
-    """A discrete function carried in both representations.
+    """A discrete function: its coordinates in the eigenbasis.
 
     coeffs are coordinates in the eigenbasis (so the L2 inner product is the
-    Euclidean dot product and the energy form is diagonal); nodal are interior
-    nodal values of the same piecewise-linear function.
+    Euclidean dot product and the energy form is diagonal), and all a field
+    holds.  samples (values on the shared Simpson grid) and nodal (interior
+    nodal values V coeffs, which only CLI artifacts read) are views that the
+    P1 mesh supplies on first read.
     """
 
     basis: EigenBasis
     coeffs: np.ndarray
-    nodal: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _readonly(self.coeffs))
-        object.__setattr__(self, "nodal", _readonly(self.nodal))
         n = self.basis.dim
-        if self.coeffs.shape != (n,) or self.nodal.shape != (n,):
-            raise DimensionMismatch(
-                f"field length {self.coeffs.shape}/{self.nodal.shape} vs basis dim {n}"
-            )
+        if self.coeffs.shape != (n,):
+            raise DimensionMismatch(f"field length {self.coeffs.shape} vs basis dim {n}")
 
     @property
     def norm_l2(self) -> float:
@@ -630,20 +630,21 @@ class Field:
         """Values on the shared per-element Simpson grid."""
         return _readonly(self.basis.sample(self.coeffs))
 
+    @cached_property
+    def nodal(self) -> np.ndarray:
+        return _readonly(self.basis.nodal_from_coeffs(self.coeffs))
+
 
 def to_field(basis: EigenBasis, coeffs: np.ndarray | None = None, nodal: np.ndarray | None = None) -> Field:
-    """Build a Field from exactly one representation."""
+    """Build a Field from exactly one representation, converting nodal values once."""
     if (coeffs is None) == (nodal is None):
         raise ConfigError("give exactly one of coeffs or nodal")
     if coeffs is not None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (basis.dim,):
-            raise DimensionMismatch(f"coeffs shape {coeffs.shape} vs basis dim {basis.dim}")
-        return Field(basis=basis, coeffs=coeffs, nodal=basis.nodal_from_coeffs(coeffs))
+        return Field(basis=basis, coeffs=coeffs)
     nodal = np.asarray(nodal, dtype=float)
     if nodal.shape != (basis.dim,):
         raise DimensionMismatch(f"nodal shape {nodal.shape} vs basis dim {basis.dim}")
-    return Field(basis=basis, coeffs=basis.coeffs_from_nodal(nodal), nodal=nodal)
+    return Field(basis=basis, coeffs=basis.coeffs_from_nodal(nodal))
 
 
 def split(u: Field) -> tuple[Field, Field]:

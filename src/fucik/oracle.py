@@ -24,6 +24,8 @@ from .operator import Field, to_field
 
 _LENGTH = math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps of the exhaustive low maximization: 0.618^90 ~ 1e-19
+_GOLDEN_ITERS = 90
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,11 @@ def _energy(basis, alpha: float, beta: float, coeffs: np.ndarray) -> float:
     return 0.5 * (float(basis.eigenvalues @ coeffs**2) - alpha * q_pos - beta * q_neg)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 90) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

@@ -12,9 +12,9 @@ saddle geometry: anticoercive on the low subspace, bounded below on the
 manifold of partial maximizers when (alpha, beta) lies strictly below the
 spectral curve.  The solver exploits exactly that structure: phase one
 minimizes the reduced functional v -> max over the low subspace of E(u + v)
-by preconditioned descent, its inner maximization being the semismooth
-Newton kernel that spectrum uses for J, now with the forcing terms; phase
-two polishes with a full-space Newton iteration on the gradient.
+by preconditioned descent, each evaluation being spectrum's reduced
+evaluation of J, now with the forcing terms; phase two polishes with a
+full-space Newton iteration on the gradient.
 
 On the curve itself solvability needs an admissibility condition on the
 asymptotic behavior of f and h (the generalized Landesman-Lazer check,
@@ -46,10 +46,9 @@ from .spectrum import (
     FucikParams,
     FucikPoint,
     _functional,
-    _gradient,
-    _maximize_t,
     _negate,
     _newton_slope,
+    _reduced,
     beta_of_alpha,
     maximize_low,
     minimize_on_sphere,
@@ -574,12 +573,11 @@ class SaddleResult:
     gll: GLLReport | None = None
 
 
-def _maximize_low_E(problem: SemilinearProblem, v_coeffs: np.ndarray, t0: np.ndarray, tol: float):
-    """Damped Newton max of E(u + v) over the low subspace: _maximize_t with
-    the problem's forcing, whose delta_eff stays positive while E is concave
-    along the accepted iterates."""
-    v_samples = problem.params.basis.sample(v_coeffs)
-    return _maximize_t(problem.params, v_samples, t0, forcing=problem.forcing, tol=tol)
+def _maximize_low_E(problem: SemilinearProblem, vh: np.ndarray, t0: np.ndarray, tol: float):
+    """E's reduced evaluation at the high coefficients vh: _reduced with the
+    problem's forcing, whose delta_eff stays positive while E is concave
+    along the low Newton's accepted iterates."""
+    return _reduced(problem.params, vh, t0, forcing=problem.forcing, tol=tol)
 
 
 def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0) -> dict:
@@ -670,24 +668,13 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     pre = 1.0 / (np.abs(lam[k:] - p.alpha) + (p.beta - p.alpha) + 1.0 + problem.nonlinearity.bound)
     inner_tol = 1e-2 * tol_res
 
-    # phase 1: reduced descent over the high subspace
+    # phase 1: reduced descent over the high subspace, warm from the last iterate
     v = np.zeros(basis.dim - k)
-    t_warm = np.zeros(k)
     trace = []
     norms, dirs = [], []
-    delta_eff = math.inf
     iterations = 0
-
-    def reduced_eval(v_high, warm_t):
-        c = np.concatenate([np.zeros(k), v_high])
-        t_new, _, _, deff, u_s, val, reaction = _maximize_low_E(problem, c, warm_t, inner_tol)
-        c[:k] = t_new
-        val += 0.5 * float(lam[k:] @ v_high**2)
-        return val, _gradient(basis, c, reaction, forcing), t_new, c, u_s, deff
-
-    val, g_full, t_warm, c_cur, u_cur, deff = reduced_eval(v, t_warm)
+    val, g_full, c_cur, u_cur, delta_eff = _maximize_low_E(problem, v, np.zeros(k), inner_tol)
     g = g_full[k:]
-    delta_eff = min(delta_eff, deff)
     eta = 1.0
     prev_v = prev_g = None
     for _ in range(_PHASE1_ITERS):
@@ -724,7 +711,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
         accepted = False
         for _ in range(30):
             v_new = v - step * d
-            val_new, g_full_new, t_new, c_new, u_new, deff = reduced_eval(v_new, t_warm)
+            val_new, g_full_new, c_new, u_new, deff = _maximize_low_E(problem, v_new, c_cur[:k], inner_tol)
             g_new = g_full_new[k:]
             if val_new < val - max(1e-4 * step * slope, floor) or float(np.linalg.norm(g_new)) <= 0.5 * gn:
                 accepted = True
@@ -734,7 +721,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
         if not accepted:
             break
         prev_v, prev_g = v, g
-        v, val, g, g_full, t_warm, c_cur, u_cur = v_new, val_new, g_new, g_full_new, t_new, c_new, u_new
+        v, val, g, g_full, c_cur, u_cur = v_new, val_new, g_new, g_full_new, c_new, u_new
         delta_eff = min(delta_eff, deff)
     diagnostics["delta_eff"] = delta_eff
 

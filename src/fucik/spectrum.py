@@ -28,20 +28,21 @@ after one evaluation.  One (alpha, beta) solve factors each sign pattern
 once, and the frozen quadratic's low maximizer starts the low-subspace
 Newton at each candidate step.  A start it leaves above the stationarity
 tolerance falls back to projected gradient descent and a second refinement.
-Each reduced evaluation samples its high field once; the low-subspace
-Newton hands back the value, the composite samples and the reaction at its
-maximizer, which give the gradient (one gather) and the sign pattern.  Both
-steps hand back the evaluation they accepted, so no point is evaluated
-twice.  The certifying tolerances are relative to lambda_{k+1} and the
-low-subspace Newton's stop to the L2 norm of the high field, so a curve on
-(0, L) is the (0, 1) curve rescaled.  Quadratures
-use the basis's per-element Simpson rule, which integrates products of
-piecewise-linear fields exactly, through the hat interpolation P and the
-tridiagonal hat-product matrix T (Hessians V^T T V); several identities in
-the tests (diagonal case, concavity constant) hold to machine precision.
-The small factorizations (the k x k Newton systems, the frozen step's
-Cholesky of -h11 and the lowest eigenpair of its Schur complement) go through
-LAPACK handles (potrf, potrs, syevr) bound once at import.
+Every reduced evaluation, of J here and of E in semilinear, is _reduced:
+it samples its high field once, and the low-subspace Newton hands back the
+value, the composite samples and the reaction at its maximizer, which give
+the gradient (one gather) and the sign pattern.  Both steps hand back the
+evaluation they accepted, so no point is evaluated twice.  The certifying
+tolerances are relative to lambda_{k+1} and the low-subspace Newton's stop
+to the L2 norm of the high field, so a curve on (0, L) is the (0, 1) curve
+rescaled.  Quadratures use the basis's per-element Simpson rule, which
+integrates products of piecewise-linear fields exactly, through the hat
+interpolation P and the tridiagonal hat-product matrix T (Hessians V^T T V);
+several identities in the tests (diagonal case, concavity constant) hold to
+machine precision.  The small factorizations (the k x k Newton systems, the
+frozen step's Cholesky of -h11 and the lowest eigenpair of its Schur
+complement) go through LAPACK handles (potrf, potrs, syevr) bound once at
+import.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ class FucikPoint:
         if abs(self.minimizer.norm_l2 - 1.0) > 1e-10:
             raise FucikError(f"minimizer norm {self.minimizer.norm_l2} not unit")
         if self.eigenfunction is not None:
-            w = self.eigenfunction.nodal
+            # nodes and boundary zeros are sample points, the rest interpolate
+            w = self.eigenfunction.samples
             scale = float(np.max(np.abs(w)))
             if not (np.min(w) < -1e-12 * scale and np.max(w) > 1e-12 * scale):
                 raise FucikError("computed eigenfunction does not change sign")
@@ -189,7 +191,7 @@ class CurveBranch:
         betas = [p.beta for p in self.samples]
         if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise FucikError("curve samples not ascending in alpha")
-        slack = 1e-12 * (1.0 + self.lambda_k1)
+        slack = 1e-12 * self.lambda_k1
         if any(b2 >= b1 + slack for b1, b2 in zip(betas, betas[1:])):
             raise FucikError("curve is not strictly decreasing")
         if not self.mirrored and any(b <= self.lambda_k1 - self.tolerances["tol_beta"] for b in betas):
@@ -354,7 +356,9 @@ def maximize_low(params: FucikParams, v: Field) -> Field:
 
 def _check_concavity(params: FucikParams, v: Field, t1: np.ndarray, t2: np.ndarray) -> None:
     # <grad(u2+v) - grad(u1+v), u2-u1> <= -delta ||u2-u1||_A^2 must hold for
-    # any pair; a material violation means the assembled pieces disagree
+    # any pair; a material violation means the assembled pieces disagree.  The
+    # slack is 1e-6 of the bound 1 + beta / lambda_k on |lhs| / ||u2-u1||_A^2
+    # plus the rounding of the two gradients lhs pairs with u2-u1
     basis, k = params.basis, params.k
     dt = t2 - t1
     energy_sq = float(basis.eigenvalues[:k] @ dt**2)
@@ -366,18 +370,32 @@ def _check_concavity(params: FucikParams, v: Field, t1: np.ndarray, t2: np.ndarr
         c[:k] += t
         return _functional(basis, params.alpha, params.beta, c, basis.sample(c))[1]
 
-    lhs = float((gradient(t2) - gradient(t1))[:k] @ dt)
-    slack = 1e-6 * (1.0 + energy_sq) * (1.0 + params.beta)
+    g1, g2 = gradient(t1), gradient(t2)
+    lhs = float((g2 - g1)[:k] @ dt)
+    slack = 1e-6 * (1.0 + params.beta / params.lambda_k) * energy_sq
+    slack += 1e-12 * (np.linalg.norm(g1) + np.linalg.norm(g2)) * np.linalg.norm(dt)
     if lhs > -params.delta * energy_sq + slack:
         raise FucikError(
             f"concavity certificate violated: {lhs:.3e} > {-params.delta * energy_sq:.3e}"
         )
 
 
+def _reduced(params: FucikParams, vh: np.ndarray, t0: np.ndarray, forcing=None, tol=None):
+    """v -> max over the low modes of E(. + v) (of J without forcing) at the
+    high coefficients vh: (value, gradient on every mode, coefficients,
+    composite samples, delta_eff), from one sample product of the high field,
+    _maximize_t from t0 with forcing and tol, and one gather of its reaction."""
+    basis, k = params.basis, params.k
+    coeffs = np.concatenate([np.zeros(k), vh])
+    t, _, _, delta_eff, u, val, reaction = _maximize_t(params, basis.sample(coeffs), t0, forcing, tol)
+    coeffs[:k] = t
+    val += 0.5 * float(basis.eigenvalues[k:] @ vh**2)
+    return val, _gradient(basis, coeffs, reaction, forcing), coeffs, u, delta_eff
+
+
 def reduced_energy(params: FucikParams, v: Field) -> float:
     """J evaluated at maximize_low(v) + v."""
-    c = maximize_low(params, v).coeffs + v.coeffs
-    return _functional(params.basis, params.alpha, params.beta, c, params.basis.sample(c))[0]
+    return _reduced(params, v.coeffs[params.k :], maximize_low(params, v).coeffs[: params.k])[0]
 
 
 def reduced_gradient(params: FucikParams, v: Field) -> Field:
@@ -386,9 +404,9 @@ def reduced_gradient(params: FucikParams, v: Field) -> Field:
     The low component of the gradient vanishes at the maximizer, so this is
     the full derivative of the reduced functional.
     """
-    c = maximize_low(params, v).coeffs + v.coeffs
-    g = _functional(params.basis, params.alpha, params.beta, c, params.basis.sample(c))[1]
-    g[: params.k] = 0.0
+    k = params.k
+    g = _reduced(params, v.coeffs[k:], maximize_low(params, v).coeffs[:k])[1]
+    g[:k] = 0.0
     return to_field(params.basis, coeffs=g)
 
 
@@ -431,24 +449,15 @@ class _SphereSolver:
         self.basis = params.basis
         self.k = params.k
         self.lam = self.basis.eigenvalues
-        self.high = slice(self.k, None)
         self.t_warm = np.zeros(self.k)
         self.frozen = {}
 
     def eval(self, vh: np.ndarray):
         """Reduced value, tangential gradient, full coefficients and composite
-        samples at unit vh: one high sample product, the low-subspace Newton
-        (whose last samples, value and reaction are reused), and one gather."""
-        p, k, basis = self.params, self.k, self.basis
-        coeffs = np.zeros(basis.dim)
-        coeffs[k:] = vh
-        t, _, _, _, u, val, reaction = _maximize_t(p, basis.sample(vh, self.high), self.t_warm)
-        self.t_warm = t
-        coeffs[:k] = t
-        val += 0.5 * float(self.lam[k:] @ vh**2)
-        grad = _gradient(basis, vh, reaction, modes=self.high)
-        tangential = grad - (2.0 * val) * vh
-        return val, tangential, coeffs, u
+        samples at unit vh: _reduced from t_warm, which it advances."""
+        val, grad, coeffs, u, _ = _reduced(self.params, vh, self.t_warm)
+        self.t_warm = coeffs[: self.k]
+        return val, grad[self.k :] - (2.0 * val) * vh, coeffs, u
 
     def descend(self, vh: np.ndarray):
         """Preconditioned projected gradient with a BB step and Armijo guard."""

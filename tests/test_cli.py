@@ -1,6 +1,7 @@
 """Tests for the command-line layer: config round-trips, SVG emission,
 the four run modes, and the byte-determinism of emitted artifacts."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -208,6 +209,20 @@ def test_solve_mode_artifacts(tmp_path):
     assert header == ["iter", "value", "residual"]
     assert len(rows) == len(doc["trace"])
     assert (out / "solution.svg").exists()
+
+
+def test_solve_mode_writes_the_same_solution_bytes(tmp_path, monkeypatch):
+    # solution.json's u_star nodal values now come from the coefficient-only
+    # Field's nodal view; the digest is that of the file the package wrote
+    # while every Field stored its nodal values (same machine and libraries)
+    monkeypatch.chdir(tmp_path)
+    h = [math.sin(3 * i / 15.0) for i in range(15)]
+    Path("problem.json").write_text(json.dumps({"alpha": 2.0, "beta": 2.6, "k": 1, "f": {"name": "tanh"},
+                                                "h": {"nodal": h}}))
+    assert _run(["--mode", "solve", "--elements", "16", "--problem", "problem.json", "--out", "solve"]) == 0
+    data = Path("solve", "solution.json").read_bytes()
+    assert json.loads(data)["status"] == fucik.CONVERGED
+    assert hashlib.sha256(data).hexdigest() == "e8e582ce2d9b2af5d26820cf250d211b04aafe4a6062677251c70d898d6bc7e0"
 
 
 def test_solve_mode_on_curve_resonance(tmp_path):

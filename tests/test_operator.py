@@ -3,6 +3,7 @@
 import ast
 import functools
 import json
+import dataclasses
 import math
 import os
 import stat
@@ -430,6 +431,14 @@ def test_field_unit_coeff_is_eigencolumn(frac32):
     e1[0] = 1.0
     u = fucik.to_field(frac32, coeffs=e1)
     assert np.allclose(u.nodal, frac32.vectors[:, 0], rtol=0, atol=1e-14)
+
+
+def test_field_holds_its_coefficients_and_views_the_nodal_values(frac32):
+    c = np.random.default_rng(5).standard_normal(frac32.dim)
+    u = fucik.to_field(frac32, coeffs=c)
+    assert [f.name for f in dataclasses.fields(u)] == ["basis", "coeffs"]
+    assert np.array_equal(u.nodal, frac32.vectors @ c)
+    assert u.nodal is u.nodal and not u.nodal.flags.writeable
 
 
 def test_field_zero_nodal(frac32):

@@ -403,7 +403,7 @@ def test_gll_slope_matches_ray_functional(basis):
 ])
 def test_low_max_of_E_with_zero_forcing_is_low_max_of_J(kernel, domain, k):
     from fucik.semilinear import _maximize_low_E
-    from fucik.spectrum import _maximize_t
+    from fucik.spectrum import _maximize_t, _reduced
 
     b = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(*domain, 24)), k=k)
     table = sample_table(b)
@@ -412,24 +412,23 @@ def test_low_max_of_E_with_zero_forcing_is_low_max_of_J(kernel, domain, k):
     prob = fucik.build_problem(params, fucik.Nonlinearity.zero(), _zero_field(b))
     rng = np.random.default_rng(5)
     for scale in (0.1, 1.0, 10.0):
-        c = np.zeros(b.dim)
-        c[k:] = scale * rng.standard_normal(b.dim - k)
+        vh = scale * rng.standard_normal(b.dim - k)
         t0 = rng.standard_normal(k)
-        v_samples = b.sample(c)
-        assert_close(v_samples, table @ c)
+        v_samples = b.sample(np.concatenate([np.zeros(k), vh]))
+        assert_close(v_samples, table[:, k:] @ vh)
         tol = 1e-4 * params.tol_grad * (1.0 + math.sqrt(b.integrate(v_samples**2)))
-        t_j, gn_j, it_j, _, u_j, val_j, r_j = _maximize_t(params, v_samples, t0)
-        t_e, gn_e, it_e, _, u_e, val_e, r_e = _maximize_low_E(prob, c, t0, tol)
-        assert it_j > 0
-        assert np.array_equal(t_e, t_j)
-        assert (gn_e, it_e, val_e) == (gn_j, it_j, val_j)
-        assert np.array_equal(u_e, u_j) and np.array_equal(r_e, r_j)
-        c[:k] = t_j
-        assert_close(u_j, table @ c)
-        # value leaves out the high modes' quadratic term
-        energy = fucik.semilinear_energy(prob, fucik.to_field(b, coeffs=c))
-        high = 0.5 * float(b.eigenvalues[k:] @ c[k:] ** 2)
-        assert abs(val_j + high - energy) <= 1e-13 * float(b.eigenvalues @ c**2)
+        # the Newton iterates from t0, and delta_eff is only tracked when forced
+        assert _maximize_t(params, v_samples, t0)[2] > 0
+        val_j, g_j, c_j, u_j, deff_j = _reduced(params, vh, t0, tol=tol)
+        val_e, g_e, c_e, u_e, deff_e = _maximize_low_E(prob, vh, t0, tol)
+        assert val_e == val_j
+        assert np.array_equal(g_e, g_j) and np.array_equal(c_e, c_j) and np.array_equal(u_e, u_j)
+        assert deff_j == math.inf and deff_e > 0.0
+        assert_close(u_j, table @ c_j)
+        # the low gradient vanishes at the maximizer, and the value is E there
+        assert np.linalg.norm(g_j[:k]) <= tol
+        energy = fucik.semilinear_energy(prob, fucik.to_field(b, coeffs=c_j))
+        assert abs(val_j - energy) <= 1e-13 * float(b.eigenvalues @ c_j**2)
 
 
 def test_solve_linear_fredholm(basis):
@@ -473,17 +472,18 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
     # the E gradient at an accepted phase-1 iterate was once computed again
     # at the loop head, and again at the start of phase 2: 164 evaluations
     # for 67 iterations on this problem
-    from fucik import semilinear
+    from fucik import semilinear, spectrum
 
     mesh = fucik.Mesh1D(0.0, math.pi, 10)
     small = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
     prob = fucik.build_problem(fucik.FucikParams(1.8, 2.1, small), fucik.Nonlinearity.tanh(),
                                _field(small, [1.2, -0.6, 0.4]))
-    gradient, functional, inner = semilinear._gradient, semilinear._functional, semilinear._maximize_low_E
+    gradient, functional, inner = spectrum._gradient, semilinear._functional, semilinear._maximize_low_E
     # None per inner maximization (one per reduced evaluation), else the
     # point of a phase-1 gradient (gathered from the inner maximization's
     # reaction) or of a phase-2 value and gradient
     events = []
+    in_phase2_functional = []
     sample, products = fucik.EigenBasis.sample, []
     assert prob.h.samples.shape == (50,)  # h's product is cached before counting
 
@@ -493,18 +493,25 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
         return sample(self, coeffs, modes)
 
     def counted_gradient(basis, coeffs, *args, **kwargs):
-        events.append(coeffs.copy())
+        # full-width gradients outside a phase-2 functional are the reduced
+        # evaluations'; the low-subspace Newton's own gradients are k wide
+        if len(coeffs) == basis.dim and not in_phase2_functional:
+            events.append(coeffs.copy())
         return gradient(basis, coeffs, *args, **kwargs)
 
     def counted_functional(basis, alpha, beta, coeffs, *args, **kwargs):
         events.append(coeffs.copy())
-        return functional(basis, alpha, beta, coeffs, *args, **kwargs)
+        in_phase2_functional.append(None)
+        try:
+            return functional(basis, alpha, beta, coeffs, *args, **kwargs)
+        finally:
+            in_phase2_functional.pop()
 
     def counted_inner(*args, **kwargs):
         events.append(None)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(semilinear, "_gradient", counted_gradient)
+    monkeypatch.setattr(spectrum, "_gradient", counted_gradient)
     monkeypatch.setattr(semilinear, "_functional", counted_functional)
     monkeypatch.setattr(semilinear, "_maximize_low_E", counted_inner)
     monkeypatch.setattr(fucik.EigenBasis, "sample", counted_sample)
@@ -522,6 +529,26 @@ def test_solve_evaluates_each_gradient_once(monkeypatch):
     reused = sum(1 for a, b in zip(events, events[1:]) if a is None and b is not None)
     assert reused > 0
     assert len(products) == len(events) - reused
+
+
+def test_table_solve_forms_no_nodal_values(monkeypatch):
+    # the forcing field and the solution each formed their nodal values
+    mesh = fucik.Mesh1D(0.0, math.pi, 10)
+    small = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
+    pts = np.arange(-2.75, 3.0, 0.5)
+    doc = {"alpha": 1.8, "beta": 2.1, "f": {"table": {"points": pts.tolist(), "values": np.tanh(pts).tolist()}},
+           "h": {"coeffs": [1.2, -0.6, 0.4] + [0.0] * (small.dim - 3)}}
+    nodal_from_coeffs = fucik.EigenBasis.nodal_from_coeffs
+    calls = []
+
+    def counted(self, coeffs):
+        calls.append(None)
+        return nodal_from_coeffs(self, coeffs)
+
+    monkeypatch.setattr(fucik.EigenBasis, "nodal_from_coeffs", counted)
+    res = fucik.solve(fucik.problem_from_dict(small, doc))
+    assert res.status == fucik.CONVERGED
+    assert calls == []
 
 
 def _per_term_value_and_gradient(prob, c):

@@ -430,6 +430,39 @@ def frac96():
     return fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.5), mesh), k=1)
 
 
+def test_trace_curve_forms_no_nodal_values(frac96, monkeypatch):
+    # every Field once formed its nodal values: 58 N x N products here
+    nodal_from_coeffs = fucik.EigenBasis.nodal_from_coeffs
+    calls = []
+
+    def counted(self, coeffs):
+        calls.append(None)
+        return nodal_from_coeffs(self, coeffs)
+
+    monkeypatch.setattr(fucik.EigenBasis, "nodal_from_coeffs", counted)
+    branch = fucik.trace_curve(frac96, 5, seed=0)
+    assert branch.samples and all(p.eigenfunction is not None for p in branch.samples)
+    assert calls == []
+
+
+def test_point_refuses_a_single_signed_eigenfunction(local1):
+    # the sign-change certificate reads the samples, whose extrema are the
+    # nodal ones: phi_1 is refused with either sign, phi_2 accepted
+    def mode(j, sign=1.0):
+        c = np.zeros(local1.dim)
+        c[j] = sign
+        return fucik.to_field(local1, coeffs=c)
+
+    def point(eigenfunction):
+        lam2 = local1.lambda_k1
+        return fucik.FucikPoint(alpha=lam2, beta=lam2, m_value=0.0, minimizer=mode(1), eigenfunction=eigenfunction)
+
+    assert point(mode(1)).eigenfunction is not None
+    for sign in (1.0, -1.0):
+        with pytest.raises(fucik.FucikError, match="change sign"):
+            point(mode(0, sign))
+
+
 def test_trace_curve_sphere_evaluation_budget(frac96, monkeypatch):
     # descent before refinement took 5,115 evaluations on this trace, the
     # bisection-and-secant root search 833 (328 now)
@@ -999,6 +1032,55 @@ def test_concavity_inequality_random_pairs(local2):
         lhs = float((g2 - g1)[:k] @ (t2 - t1))
         energy_sq = float(local2.eigenvalues[:k] @ (t2 - t1) ** 2)
         assert lhs <= -delta * energy_sq + 1e-8
+
+
+def _strip_case(length):
+    # local kernel, 16 elements on (0, length), k = 2, alpha mid-strip,
+    # beta = 1.5 lambda_3, and the low maximizer of a random high field
+    basis = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), fucik.Mesh1D(0.0, length, 16)), k=2)
+    p = fucik.FucikParams(alpha=_alpha_at(basis, 0.5), beta=1.5 * basis.lambda_k1, basis=basis)
+    v = _high_field(basis, np.random.default_rng(61))
+    t0 = np.zeros(basis.k)
+    return p, v, t0, spectrum._maximize_t(p, v.samples, t0)[0]
+
+
+@pytest.mark.parametrize("length", [1.0, 1e20])
+def test_concavity_certificate_refuses_a_convex_gradient_at_any_scale(length, monkeypatch):
+    # the slack was once 1e-6 (1 + ||dt||_A^2)(1 + beta), which on (0, 1e20)
+    # is about 1e34 times the certificate's own terms and passed anything
+    p, v, t0, t = _strip_case(length)
+    spectrum._check_concavity(p, v, t0, t)
+    functional = spectrum._functional
+
+    def flipped(*args, **kwargs):
+        val, grad, reaction = functional(*args, **kwargs)
+        return val, -grad, reaction
+
+    monkeypatch.setattr(spectrum, "_functional", flipped)
+    with pytest.raises(fucik.FucikError, match="concavity"):
+        spectrum._check_concavity(p, v, t0, t)
+
+
+def test_curve_branch_refuses_a_rising_pair_on_a_long_domain():
+    # lambda_{k+1} ~ 1e-39 here, so the former slack 1e-12 (1 + lambda_{k+1})
+    # admitted a rise of 1e27 times beta
+    basis = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), fucik.Mesh1D(0.0, 1e20, 16)), k=1)
+    e2 = np.zeros(basis.dim)
+    e2[1] = 1.0
+    minimizer = fucik.to_field(basis, coeffs=e2)
+    lam1, lam2 = basis.lambda_k, basis.lambda_k1
+    tolerances = {"tol_grad": 1e-9 * lam2, "tol_m": 1e-8 * lam2, "tol_beta": 1e-6 * lam2}
+
+    def branch(beta_2):
+        samples = tuple(
+            fucik.FucikPoint(alpha=a, beta=b, m_value=0.0, minimizer=minimizer)
+            for a, b in ((lam1 + 0.4 * (lam2 - lam1), 2.0 * lam2), (lam1 + 0.6 * (lam2 - lam1), beta_2))
+        )
+        return fucik.CurveBranch(k=1, lambda_k=lam1, lambda_k1=lam2, samples=samples, tolerances=tolerances)
+
+    branch(1.9 * lam2)
+    with pytest.raises(fucik.FucikError, match="decreasing"):
+        branch(2.001 * lam2)
 
 
 def test_maximizer_norm_bound_fit_holdout(local2):
