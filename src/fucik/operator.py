@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 import scipy.linalg
 
 from .blas import single_threaded
@@ -93,7 +94,12 @@ def _config_numbers(value, what: str, count: int | None = None) -> tuple:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """a as a read-only contiguous float64 array: a itself when it already is
+    one, else a copy, so an array the caller still holds stays writable.
+    Producers of large arrays freeze their own before handing them over."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -438,7 +444,10 @@ def assemble(kernel: Kernel, mesh: Mesh1D) -> GalerkinOperator:
             "tabulated kernels are validation-only; assembly needs the "
             "power-law form for its closed-form singular quadrature"
         )
-    return GalerkinOperator(kernel=kernel, mesh=mesh, stiffness=A, mass=_mass_matrix(mesh))
+    mass = _mass_matrix(mesh)
+    A.setflags(write=False)
+    mass.setflags(write=False)
+    return GalerkinOperator(kernel=kernel, mesh=mesh, stiffness=A, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +603,8 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     first = V[:, 0]
     if np.min(first) < -1e-8 * np.max(first):
         raise FactorizationFailure("first eigenfunction is not single-signed")
+    lam.setflags(write=False)
+    V.setflags(write=False)
     return EigenBasis(operator=op, eigenvalues=lam, vectors=V, k=k)
 
 
@@ -715,14 +726,29 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _float_block(block: np.ndarray) -> str:
+    """The entries' reprs joined by the indented array separator.
+
+    orjson picks the same shortest digits as repr, but writes them without
+    an exponent where repr uses one (0 < |x| < 1e-4 and |x| >= 1e16); those
+    few entries are formatted by repr instead.
+    """
+    values = block.tolist()
+    items = orjson.dumps(values)[1:-1].split(b",")
+    magnitude = np.abs(block)
+    for i in np.flatnonzero(((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)).tolist():
+        items[i] = float.__repr__(values[i]).encode()
+    return b",\n    ".join(items).decode()
+
+
 def _json_document(doc: dict):
     """Yield ``json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\\n"`` in chunks.
 
     json's indenting encoder is pure Python and returns the whole text, so a
     top-level member that is a non-empty 1-D array of finite float64 (the
-    eigenvectors of basis.json) is formatted from its reprs one block of
-    _JSON_BLOCK entries at a time, and the text is never held whole; every
-    other member goes through json.dumps.
+    eigenvectors of basis.json) is formatted one block of _JSON_BLOCK entries
+    at a time by _float_block, and the text is never held whole; every other
+    member goes through json.dumps.
     """
     opener = "{"
     for key in sorted(doc):
@@ -731,10 +757,8 @@ def _json_document(doc: dict):
         opener = ","
         floats = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
         if floats and value.size and np.isfinite(value).all():
-            sep = ",\n    "
             for start in range(0, value.size, _JSON_BLOCK):
-                block = sep.join(map(float.__repr__, value[start : start + _JSON_BLOCK].tolist()))
-                yield (sep if start else "[\n    ") + block
+                yield (",\n    " if start else "[\n    ") + _float_block(value[start : start + _JSON_BLOCK])
             yield "\n  ]"
         else:
             yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
@@ -796,6 +820,8 @@ def load_basis(path: str, k: int = 1) -> EigenBasis:
     # the lengths bound n by the document's size before anything is assembled
     lam = _document_array(doc.get("eigenvalues"), "eigenvalues", n)
     V = _document_array(doc.get("vectors"), "vectors", n * n).reshape(n, n)
+    lam.setflags(write=False)
+    V.setflags(write=False)
     op = assemble(kernel, mesh)
     basis = EigenBasis(operator=op, eigenvalues=lam, vectors=V, k=k)
     # spot-check the loaded pairs against the reassembled matrices

@@ -120,6 +120,11 @@ class Nonlinearity:
             # log cosh t, overflow-safe
             return np.abs(t) + np.log1p(np.exp(-2.0 * np.abs(t))) - math.log(2.0)
 
+        def deriv(t):
+            # sech^2 t = 4 e^(-2|t|) / (1 + e^(-2|t|))^2, which cannot overflow
+            e = np.exp(-2.0 * np.abs(np.asarray(t, dtype=float)))
+            return 4.0 * e / (1.0 + e) ** 2
+
         return cls(
             name="tanh",
             func=np.tanh,
@@ -127,7 +132,7 @@ class Nonlinearity:
             limit_left=-1.0,
             limit_right=1.0,
             antiderivative=F,
-            deriv=lambda t: 1.0 / np.cosh(np.asarray(t, dtype=float)) ** 2,
+            deriv=deriv,
         )
 
     @classmethod

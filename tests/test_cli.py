@@ -523,6 +523,8 @@ def test_json_document_matches_indented_json_dumps(tmp_path):
     text = (out / "basis.json").read_text(encoding="utf-8")
     doc = json.loads(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    bits = np.random.default_rng(21).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
     # the float-array path and the json.dumps path side by side
     docs = [
         doc,
@@ -533,12 +535,19 @@ def test_json_document_matches_indented_json_dumps(tmp_path):
         {"h": np.float32(0.1), "i": np.int64(-3), "j": np.bool_(True), "k": (1, (2.5, np.int64(4))),
          "l": np.zeros(0), "m": np.arange(6.0).reshape(2, 3), "n": {"o": [np.bool_(False), np.float32(np.nan)]},
          "p": [np.float64(-0.0), np.float64(5e-324), np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan)]},
+        # random finite bit patterns, and a strided view of them
+        {"q": bits},
+        {"r": bits[::3]},
     ]
     for d in docs:
         assert "".join(cli._json_document(d)) == json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e22])
+# the notation boundaries of repr: exponent form below 1e-4 and from 1e16
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([
+    -0.0, 5e-324, 1e16, 1e22, 1e-4, float(np.nextafter(1e-4, 0)), -2.5e-5, float(np.nextafter(1e16, 0)), 1e21,
+    1.7976931348623157e308,
+])
 
 
 @st.composite

@@ -6,7 +6,9 @@ import json
 import dataclasses
 import math
 import os
+import re
 import stat
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -441,6 +443,15 @@ def test_field_holds_its_coefficients_and_views_the_nodal_values(frac32):
     assert u.nodal is u.nodal and not u.nodal.flags.writeable
 
 
+def test_field_leaves_the_callers_array_writable(frac32):
+    c = np.zeros(frac32.dim)
+    u = fucik.to_field(frac32, coeffs=c)
+    c[0] = 1.0
+    assert u.coeffs[0] == 0.0 and not u.coeffs.flags.writeable
+    # an array that is already read-only is kept, not copied
+    assert fucik.to_field(frac32, coeffs=u.coeffs).coeffs is u.coeffs
+
+
 def test_field_zero_nodal(frac32):
     u = fucik.to_field(frac32, nodal=np.zeros(frac32.dim))
     assert np.all(u.coeffs == 0.0)
@@ -638,6 +649,25 @@ def test_eigen_run_memory_is_the_eigensolve(tmp_path):
         tracemalloc.stop()
     dim = n - 1
     assert peak <= 8 * dim * dim * 8
+
+
+def test_every_imported_distribution_is_declared():
+    # a module the package imports that is neither stdlib nor the package
+    # itself must be listed in pyproject.toml's [project] dependencies
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    repo = Path(__file__).resolve().parent.parent
+    with open(repo / "pyproject.toml", "rb") as f:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                    for dep in tomllib.load(f)["project"]["dependencies"]}
+    imported = set()
+    for path in sorted((repo / "src" / "fucik").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"fucik"} - declared == set()
+    assert {"numpy", "scipy", "orjson"} <= imported
 
 
 def test_only_operator_reads_the_sample_table():

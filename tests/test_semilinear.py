@@ -95,6 +95,14 @@ def test_derivative_analytic_and_fd_paths():
     assert np.max(np.abs(table.derivative(t) - (1.0 - np.tanh(t) ** 2))) <= 1e-3
 
 
+@pytest.mark.parametrize("t", [400.0, -400.0, 800.0, -800.0, [400.0, -800.0], [-400.0, 800.0, 0.0]])
+def test_tanh_derivative_does_not_overflow(t):
+    # pytest turns RuntimeWarnings into errors: sech^2 t must not form cosh t
+    got = fucik.Nonlinearity.tanh().derivative(t)
+    assert got.shape == np.shape(t)
+    assert np.array_equal(got, np.where(np.asarray(t) == 0.0, 1.0, 0.0))
+
+
 def test_overstated_bound_fails_validation():
     nl = fucik.Nonlinearity(
         name="lying", func=np.tanh, bound=0.5, limit_left=-1.0, limit_right=1.0,
