@@ -28,6 +28,13 @@ This is the P1 scheme of Acosta and Borthagaray (SIAM J. Numer. Anal. 55,
 Eigen-decomposition is the dense generalized symmetric solve A c = lambda M c
 (Cholesky reduction of M inside LAPACK, on one BLAS thread), producing an
 L2-orthonormal basis in which all later spectral computations are diagonal.
+
+A basis is saved as a JSON document whose float arrays are streamed one
+entry a line, and reloaded without holding the text whole: each such array
+(a float block) is read in fixed-size pieces straight into a float64 array,
+and only the few hundred bytes around the blocks go through json.loads.
+The writer and the reader share the block's layout tokens.  A reload checks
+every eigenpair against the reassembled matrices with one O(n^2) probe.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -76,15 +84,32 @@ _HAT_PRODUCTS = np.array([_HATS[0] ** 2, _HATS[1] ** 2, _HATS[0] * _HATS[1]])
 _GAUSS_ORDER = 8
 # Array entries formatted per JSON chunk: few number strings alive at once.
 _JSON_BLOCK = 4096
+# The indented layout of a top-level float array member (a float block):
+# _json_document writes these tokens and _read_document cuts its pieces at them.
+_BLOCK_OPEN, _BLOCK_SEP, _BLOCK_CLOSE = "[\n    ", ",\n    ", "\n  ]"
+# The start of a float block, through its opener, and its longest length;
+# a member whose key is longer is left to json.loads with the rest.
+_BLOCK_START = re.compile(rb'\n  "[^"\\\n]{0,64}": ' + re.escape(_BLOCK_OPEN.encode()))
+_BLOCK_START_MAX = len('\n  "": ') + 64 + len(_BLOCK_OPEN)
+# Bytes of a document read at a time: past 64 KiB the buffers, not the
+# arrays, set a reload's peak, and the parse is no faster.
+_READ_PIECE = 1 << 16
+# The bytes of JSON numbers, commas and whitespace: a float block piece made
+# of these alone holds numbers only.
+_NUMBER_BYTES = b"0123456789+-.eE,\t\n\r "
 # Log-grid points of validate_kernel's trapezoid integrals.
 _LOG_GRID_POINTS = 4000
 
 
 def _config_number(value, what: str) -> float:
     """A finite number from a run config or problem document."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        number = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:  # an integer beyond the floats
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _config_numbers(value, what: str, count: int | None = None) -> tuple:
@@ -738,7 +763,7 @@ def _float_block(block: np.ndarray) -> str:
     magnitude = np.abs(block)
     for i in np.flatnonzero(((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)).tolist():
         items[i] = float.__repr__(values[i]).encode()
-    return b",\n    ".join(items).decode()
+    return _BLOCK_SEP.encode().join(items).decode()
 
 
 def _json_document(doc: dict):
@@ -758,8 +783,8 @@ def _json_document(doc: dict):
         floats = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
         if floats and value.size and np.isfinite(value).all():
             for start in range(0, value.size, _JSON_BLOCK):
-                yield (",\n    " if start else "[\n    ") + _float_block(value[start : start + _JSON_BLOCK])
-            yield "\n  ]"
+                yield (_BLOCK_SEP if start else _BLOCK_OPEN) + _float_block(value[start : start + _JSON_BLOCK])
+            yield _BLOCK_CLOSE
         else:
             yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
     yield "\n}\n" if doc else "{}\n"
@@ -769,38 +794,171 @@ def save_basis(basis: EigenBasis, path: str) -> None:
     _write_atomic({Path(os.path.abspath(path)): _json_document(basis_document(basis))})
 
 
-def _document_array(values, what: str, size: int) -> np.ndarray:
-    """A float array of `size` finite numbers from a document's list."""
-    if not isinstance(values, list) or len(values) != size:
-        got = f"{len(values)} entries" if isinstance(values, list) else type(values).__name__
-        raise ConfigError(f"{what} must be a list of {size} finite numbers, got {got}")
+@dataclass(frozen=True, eq=False)
+class _FloatBlock:
+    """A float block's numbers, where json.loads met the block's marker.
+
+    It equals nothing but itself, so a block where the reader expects
+    anything but an array of numbers is refused as the list would be.
+    """
+
+    array: np.ndarray
+
+
+def _block_numbers(text: bytes) -> np.ndarray | None:
+    """The numbers of a run of number bytes, or None unless it is one or
+    more numbers between commas."""
     try:
-        array = np.array(values)
-    except ValueError:  # ragged nesting
-        array = np.empty(0)
+        values = orjson.loads(b"[" + text + b"]")
+    except orjson.JSONDecodeError:  # also a number beyond the floats
+        return None
+    return np.array(values, dtype=float) if values else None
+
+
+def _read_block(f, data: bytes, at: int):
+    """A float block's numbers, with the bytes in hand and the offset past
+    its closer, or None if the text from data[at] on is not a float block.
+
+    data[at:] holds the bytes read past the block's opener.  The file is
+    read on in _READ_PIECE pieces, each parsed up to its last comma, so
+    about one piece of the block's text is held at a time.  The text is not
+    a block once anything but numbers, commas and whitespace comes before
+    the first closing bracket, or that bracket is not the closer.
+    """
+    close = _BLOCK_CLOSE.encode()
+    pieces, head = [], bytearray()  # head: the number bytes since the last comma
+    while True:
+        end = data.find(close[-1:], at)
+        body = data[at : len(data) if end < 0 else end]
+        if body.translate(None, _NUMBER_BYTES):
+            return None
+        if end >= 0:
+            head += body
+            if not head.endswith(close[:-1]):
+                return None
+            pieces.append(_block_numbers(head[: 1 - len(close)]))
+            return None if pieces[-1] is None else (np.concatenate(pieces), data, end + 1)
+        cut = body.rfind(b",")
+        if cut >= 0:
+            head += body[:cut]
+            pieces.append(_block_numbers(head))
+            if pieces[-1] is None:
+                return None
+            head = bytearray(body[cut + 1 :])
+        else:
+            head += body
+        data, at = f.read(_READ_PIECE), 0
+        if not data:  # an array of numbers that never closes
+            raise ConfigError("basis document ends inside an array")
+
+
+def _read_document(path: str):
+    """The JSON value of the document at path, read in _READ_PIECE pieces.
+
+    A float block, an array of numbers laid out as _json_document writes a
+    float array (`\\n  "key": [\\n    ...\\n  ]`), is parsed piece by piece
+    by orjson into a read-only float64 array, and a number token found
+    nowhere else in the text stands in its place.  json.loads reads the
+    rest, a few hundred bytes of basis.json, and gives each such marker as
+    the block's _FloatBlock, wherever it stands.  A block is an array value,
+    so the document parses as it would with the array in place.  The text
+    of a member that only starts like a block, and all of a document in
+    another layout, is read by json.loads as it stands.  Each byte is read
+    once, or twice where a member that started like a block was not one.
+    """
+    rest, blocks = bytearray(), []  # the text outside the blocks; (offset, block)
+    with open(path, "rb") as f:
+        data, pos = b"", 0
+        while True:
+            start = _BLOCK_START.search(data, pos)
+            if start is None:
+                piece = f.read(_READ_PIECE)
+                # a block start the piece cut off lies in the last bytes
+                keep = max(len(data) - _BLOCK_START_MAX, pos) if piece else len(data)
+                rest += data[pos:keep]
+                if not piece:
+                    break
+                data, pos = data[keep:] + piece, 0
+                continue
+            rest += data[pos : start.end() - len(_BLOCK_OPEN)]
+            read = f.tell()
+            block = _read_block(f, data, start.end())
+            if block is None:  # the member's text joins the rest
+                rest += _BLOCK_OPEN.encode()
+                pos = start.end()
+                if f.tell() != read:  # read again what the block read on
+                    f.seek(read - len(data) + pos)
+                    data, pos = b"", 0
+                continue
+            array, data, pos = block
+            array.setflags(write=False)
+            blocks.append((len(rest), _FloatBlock(array)))
+    marker = b"-0E-0"
+    while marker in rest:
+        marker += b"0"
+    markers = {}
+    for i, (offset, block) in reversed(list(enumerate(blocks))):
+        token = marker + b"%d" % i
+        rest[offset:offset] = token + b" "  # the space ends the token
+        markers[token.decode()] = block
+
+    def parse_float(token: str):
+        return markers[token] if token in markers else float(token)
+
+    try:
+        text = rest.decode("utf-8")
+        del rest  # all of a document in another layout
+        return json.loads(text, parse_float=parse_float if markers else float)
+    except (ValueError, RecursionError) as e:  # JSON, UTF-8, integer digits, depth
+        raise ConfigError(f"basis document {path!r} is not valid JSON: {e}") from e
+
+
+def _document_array(values, what: str, size: int) -> np.ndarray:
+    """A float array of `size` finite numbers from a document member: a float
+    block, or a list json.loads read."""
+    if isinstance(values, _FloatBlock):
+        values = values.array
+    if not isinstance(values, (list, np.ndarray)) or len(values) != size:
+        got = f"{len(values)} entries" if isinstance(values, (list, np.ndarray)) else type(values).__name__
+        raise ConfigError(f"{what} must be a list of {size} finite numbers, got {got}")
+    array = np.empty(0)
+    if isinstance(values, np.ndarray):
+        array = values
+    elif bool not in map(type, values):  # numpy reads true as 1.0
+        try:
+            array = np.array(values)
+        except ValueError:  # ragged nesting
+            pass
     if array.shape == (size,) and array.dtype.kind in "fiu" and np.isfinite(array).all():
         return array.astype(float, copy=False)
-    for value in values:  # name the offending entry
-        _config_number(value, f"{what} entry")
-    raise ConfigError(f"{what} holds integers beyond 64 bits")
+    # name the offending entry; an integer beyond 64 bits is read as its float
+    return np.array([_config_number(value, f"{what} entry") for value in values])
 
 
 def load_basis(path: str, k: int = 1) -> EigenBasis:
     """Rebuild a basis from its document, reassembling the matrices.
 
+    The document is read by _read_document, in pieces: its float blocks go
+    straight into arrays, and neither the text nor a list of its numbers is
+    held whole.  On a 1025-element fractional basis.json (25.8 MB), one
+    reload in a fresh process took 0.11-0.13 s and raised peak RSS by
+    26 MiB, about the 24 MiB of the vectors and the two reassembled
+    matrices; a whole-document json.load took 0.36-0.47 s and 65 MiB (6 runs
+    each, 2-vCPU VM).  One probe r = A V x - M V (lambda x), for a fixed x,
+    checks every pair against the reassembled matrices in O(n^2).
+
     Raises ConfigError on a document that is not valid UTF-8 JSON, misses or
     mistypes a member, holds an array of the wrong length (n eigenvalues and
-    n^2 vector entries for n interior nodes), or a non-finite number.
+    n^2 vector entries for n interior nodes), an entry that is not a finite
+    number (true and false are not numbers), or pairs the reassembled
+    operator does not have.
     """
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"basis document {path!r} is not valid JSON: {e}") from e
+    doc = _read_document(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"basis document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported document version {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported document version {version!r}")
     kd, md = doc.get("kernel"), doc.get("mesh")
     if not isinstance(kd, dict) or not isinstance(md, dict):
         raise ConfigError("basis document needs 'kernel' and 'mesh' objects")
@@ -823,10 +981,17 @@ def load_basis(path: str, k: int = 1) -> EigenBasis:
     lam.setflags(write=False)
     V.setflags(write=False)
     op = assemble(kernel, mesh)
-    basis = EigenBasis(operator=op, eigenvalues=lam, vectors=V, k=k)
-    # spot-check the loaded pairs against the reassembled matrices
-    for j in (0, n // 2, n - 1):
-        r = op.stiffness @ V[:, j] - lam[j] * (op.mass @ V[:, j])
-        if np.linalg.norm(r) > 1e-6 * (1.0 + abs(lam[j])):
-            raise ConfigError(f"document inconsistent with reassembled operator at column {j}")
-    return basis
+    # r sums the column residuals A v_j - lambda_j M v_j with weights
+    # x_j = u_j / (1 + |lambda_j|), so a document whose every column is within
+    # 1e-6 (1 + |lambda_j|) has |r| <= 1e-6 sum |u_j|.  The weights leave each
+    # column about n times its own tolerance, low and high pairs alike.  An
+    # entry near the float limit overflows r to inf or nan, which fails the test
+    rng = np.random.default_rng(0)
+    u = rng.uniform(1.0, 2.0, n) * rng.choice((-1.0, 1.0), n)
+    x = u / (1.0 + np.abs(lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = op.stiffness @ (V @ x) - op.mass @ (V @ (lam * x))
+        consistent = np.linalg.norm(r) <= 1e-6 * float(np.abs(u).sum())
+    if not consistent:
+        raise ConfigError("document inconsistent with reassembled operator")
+    return EigenBasis(operator=op, eigenvalues=lam, vectors=V, k=k)

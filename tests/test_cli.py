@@ -422,9 +422,10 @@ def test_malformed_config_leaves_no_files(tmp_path, capsys):
     ({"domain": [0, 5e-324]}, []),
     ({"domain": [0, 1e-322]}, []),
     ({"kernel": "fractional:s=0.001", "domain": [-2.2025709834862e306, 0], "elements": 4}, []),
+    ({"domain": [-(10**400), 1]}, []),
 ], ids=["domain-string", "domain-entry", "domain-number", "tolerance-string", "tolerances-list",
         "tolerances-list-with-flag", "seed-negative", "length-overflows", "spacing-underflows",
-        "spacing-subnormal", "stiffness-overflows"])
+        "spacing-subnormal", "stiffness-overflows", "domain-integer-beyond-the-floats"])
 def test_malformed_config_entry_exits_2(tmp_path, capsys, entry, flags):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mode": "eigen", "elements": 8, **entry}))
@@ -447,8 +448,10 @@ _TABLE = {"table": {"points": [-1.0, 1.0], "values": [-1.0, 1.0]}}
     {"f": {"table": {"points": [-1.0, 1.0]}}},
     {"f": {"table": {"points": [-1.0, "x"], "values": [-1.0, 1.0]}}},
     {"h": {"coeffs": ["a"]}},
+    {"alpha": 10**400},
 ], ids=["alpha-string", "k-string", "f_limits-single", "table-f_limits-single", "f_limits-restated",
-        "beta-list", "table-without-values", "table-point-string", "h-coeffs-string"])
+        "beta-list", "table-without-values", "table-point-string", "h-coeffs-string",
+        "alpha-integer-beyond-the-floats"])
 def test_malformed_problem_exits_2(tmp_path, capsys, change):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps({"alpha": 2.0, "beta": 2.0, "f": {"name": "tanh"},

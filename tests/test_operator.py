@@ -9,6 +9,7 @@ import os
 import re
 import stat
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -651,6 +652,41 @@ def test_eigen_run_memory_is_the_eigensolve(tmp_path):
     assert peak <= 8 * dim * dim * 8
 
 
+def test_reload_memory_is_the_basis(tmp_path):
+    # basis.json is read in pieces, so a reload holds the vectors and the two
+    # reassembled matrices; a whole-document json.load, which holds the text
+    # and a list of N^2 floats, needs more than the bound
+    n = 513
+    path = tmp_path / "basis.json"
+    fucik.save_basis(_fractional_basis(n), str(path))
+    dim = n - 1
+    bound = 1.5 * 3 * dim * dim * 8
+    tracemalloc.start()
+    try:
+        fucik.load_basis(str(path))
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(path, encoding="utf-8") as f:
+            vectors = np.array(json.load(f)["vectors"])
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vectors.shape == (dim * dim,)
+    assert streamed < bound < whole
+
+
+@pytest.mark.parametrize("piece", [1, 7, 1 << 16])
+def test_edge_floats_round_trip_bitwise(tmp_path, monkeypatch, piece):
+    edges = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1.7976931348623157e308])
+    edges = np.concatenate([edges, -edges])
+    path = tmp_path / "doc.json"
+    fucik.operator._write_atomic({path: fucik.operator._json_document({"x": edges})})
+    monkeypatch.setattr(fucik.operator, "_READ_PIECE", piece)
+    block = fucik.operator._read_document(str(path))["x"]
+    assert np.array_equal(block.array.view(np.uint64), edges.view(np.uint64))
+    assert np.array_equal(np.array(json.loads(path.read_text())["x"]).view(np.uint64), edges.view(np.uint64))
+
+
 def test_every_imported_distribution_is_declared():
     # a module the package imports that is neither stdlib nor the package
     # itself must be listed in pyproject.toml's [project] dependencies
@@ -743,37 +779,218 @@ def _with(doc, *keys, value):
     return doc
 
 
+def _replace_text(d, dumps, *keys, text):
+    # the document as dumps writes it, with the entry at keys written as text
+    return dumps(_with(d, *keys, value="@")).replace('"@"', text)
+
+
+def _cut_inside(d, dumps, key):
+    text = dumps(d)
+    return text[: text.index(f'"{key}"') + 200]
+
+
+# each case maps a written document and a layout's dumps to a malformed text
 _MALFORMED = {
-    "missing-kernel": lambda d: json.dumps({key: v for key, v in d.items() if key != "kernel"}),
-    "vectors-short": lambda d: json.dumps(_with(d, "vectors", value=d["vectors"][:-1])),
-    "vectors-string": lambda d: json.dumps(_with(d, "vectors", 0, value="x")),
-    "vectors-nan": lambda d: json.dumps(_with(d, "vectors", 0, value=float("nan"))),
-    "eigenvalues-short": lambda d: json.dumps(_with(d, "eigenvalues", value=d["eigenvalues"][:-1])),
-    "n-elements-string": lambda d: json.dumps(_with(d, "mesh", "n_elements", value="16")),
-    "a-null": lambda d: json.dumps(_with(d, "mesh", "a", value=None)),
-    "s-string": lambda d: json.dumps(_with(d, "kernel", "s", value="0.5")),
-    "top-level-list": lambda d: json.dumps([d]),
-    "truncated": lambda d: json.dumps(d)[:-20],
+    "missing-kernel": lambda d, dumps: dumps({key: v for key, v in d.items() if key != "kernel"}),
+    "vectors-short": lambda d, dumps: dumps(_with(d, "vectors", value=d["vectors"][:-1])),
+    "vectors-string": lambda d, dumps: dumps(_with(d, "vectors", 0, value="x")),
+    "vectors-nan": lambda d, dumps: dumps(_with(d, "vectors", 0, value=float("nan"))),
+    "vectors-true": lambda d, dumps: dumps(_with(d, "vectors", 1 * 15 + 3, value=True)),
+    "vectors-null": lambda d, dumps: dumps(_with(d, "vectors", 5, value=None)),
+    "vectors-nested-list": lambda d, dumps: dumps(_with(d, "vectors", 5, value=[1.0, 2.0])),
+    "vectors-1e400": lambda d, dumps: _replace_text(d, dumps, "vectors", 5, text="1e400"),
+    "eigenvalues-short": lambda d, dumps: dumps(_with(d, "eigenvalues", value=d["eigenvalues"][:-1])),
+    "eigenvalues-true": lambda d, dumps: dumps(_with(d, "eigenvalues", 3, value=True)),
+    "n-elements-string": lambda d, dumps: dumps(_with(d, "mesh", "n_elements", value="16")),
+    "a-null": lambda d, dumps: dumps(_with(d, "mesh", "a", value=None)),
+    "a-beyond-the-floats": lambda d, dumps: dumps(_with(d, "mesh", "a", value=-(10**400))),
+    "version-true": lambda d, dumps: dumps(_with(d, "version", value=True)),
+    "s-string": lambda d, dumps: dumps(_with(d, "kernel", "s", value="0.5")),
+    "top-level-list": lambda d, dumps: dumps([d]),
+    "truncated": lambda d, dumps: dumps(d)[:-20],
+    "truncated-in-vectors": lambda d, dumps: _cut_inside(d, dumps, "vectors"),
+    "vectors-trailing-comma": lambda d, dumps: _replace_text(d, dumps, "vectors", -1,
+                                                             text=repr(d["vectors"][-1]) + ","),
 }
+
+# the layout save_basis writes: each float array one entry a line
+_WRITER_LAYOUT = functools.partial(json.dumps, sort_keys=True, indent=2)
+
+
+# the cases whose refusal names the entry, not the pairs it spoils
+_BAD_ENTRY = {"vectors-string", "vectors-nan", "vectors-true", "vectors-null", "vectors-nested-list",
+              "vectors-1e400", "eigenvalues-true"}
+
+
+def _refuses(tmp_path, case, dumps):
+    basis = _fractional_basis(16)
+    path = tmp_path / "basis.json"
+    fucik.save_basis(basis, str(path))
+    path.write_text(_MALFORMED[case](json.loads(path.read_text()), dumps), encoding="utf-8")
+    with pytest.raises(fucik.ConfigError, match="entry must be a finite number" if case in _BAD_ENTRY else None):
+        fucik.load_basis(str(path))
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_document_refused(tmp_path, case):
-    basis = _fractional_basis(16)
-    path = tmp_path / "basis.json"
-    fucik.save_basis(basis, str(path))
-    path.write_text(_MALFORMED[case](json.loads(path.read_text())), encoding="utf-8")
-    with pytest.raises(fucik.ConfigError):
-        fucik.load_basis(str(path))
+    _refuses(tmp_path, case, json.dumps)
+
+
+@pytest.mark.parametrize("piece", [1, 1 << 16])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_refused_in_the_writer_layout(tmp_path, monkeypatch, case, piece):
+    # the float arrays of this layout are read piece by piece, the rest whole;
+    # one-byte pieces end a piece at every comma
+    monkeypatch.setattr(fucik.operator, "_READ_PIECE", piece)
+    _refuses(tmp_path, case, _WRITER_LAYOUT)
 
 
 def test_document_tamper_detected(tmp_path):
     basis = _fractional_basis(16)
+    n = basis.dim
     path = tmp_path / "basis.json"
     fucik.save_basis(basis, str(path))
-    doc = json.loads(path.read_text())
-    doc["vectors"][0] = doc["vectors"][0] * 1.1 + 0.5
-    doc["eigenvalues"][0] *= 1.5
-    path.write_text(json.dumps(doc))
-    with pytest.raises(fucik.ConfigError):
-        fucik.load_basis(str(path))
+    written = path.read_text()
+
+    def first_pair(doc):
+        doc["vectors"][0] = doc["vectors"][0] * 1.1 + 0.5
+        doc["eigenvalues"][0] *= 1.5
+
+    def columns_off_the_old_spot_check(doc):
+        # columns 3 and 5, outside the 0, n // 2 and n - 1 of a three-column check
+        doc["eigenvalues"][3] *= 1.5
+        doc["vectors"][2 * n + 5] *= -1.0
+
+    def low_eigenvalue_off_by_1e_4(doc):
+        # 30 times its column's tolerance; the high pairs' tolerances would
+        # drown it if each column weighed the same in the probe
+        doc["eigenvalues"][0] *= 1.0 + 1e-4
+
+    def entries_near_the_float_limit(doc):
+        # the probe overflows to inf and nan, which must not pass its test
+        doc["eigenvalues"][3] = 1.7e308
+        doc["vectors"][5] = -1.7e308
+
+    for tamper in (first_pair, columns_off_the_old_spot_check, low_eigenvalue_off_by_1e_4,
+                   entries_near_the_float_limit):
+        for dumps in (json.dumps, _WRITER_LAYOUT):
+            doc = json.loads(written)
+            tamper(doc)
+            path.write_text(dumps(doc))
+            with pytest.raises(fucik.ConfigError, match="inconsistent"):
+                fucik.load_basis(str(path))
+
+
+# any JSON value json.dumps writes, numbers from 0 to beyond the floats
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.sampled_from([2**1024 - 2**970 - 1, 2**1024 - 2**970]),  # the largest float's, and beyond
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def _written_document():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basis.json")
+        fucik.save_basis(_fractional_basis(16), path)
+        return Path(path).read_text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_replaced_entry_is_read_as_json_reads_it_or_refused(data):
+    doc = json.loads(_written_document())
+    key = data.draw(st.sampled_from(["eigenvalues", "vectors"]))
+    i = data.draw(st.integers(0, len(doc[key]) - 1))
+    # an arbitrary value, or the entry itself a few ulps off, which loads
+    ulps = st.integers(-2, 2).map(lambda u: float(np.float64(doc[key][i]) + u * np.spacing(doc[key][i])))
+    doc[key][i] = data.draw(_JSON_VALUES | ulps)
+    text = _WRITER_LAYOUT(doc) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basis.json")
+        Path(path).write_text(text, encoding="utf-8")
+        try:
+            basis = fucik.load_basis(path)
+        except fucik.ConfigError:
+            return
+    expected = json.loads(text)
+    assert np.array_equal(basis.eigenvalues, np.array(expected["eigenvalues"], dtype=float))
+    assert np.array_equal(basis.vectors.reshape(-1), np.array(expected["vectors"], dtype=float))
+
+
+def _as_lists(value):
+    # a value _read_document gave, each float block as the list it holds
+    if isinstance(value, fucik.operator._FloatBlock):
+        return value.array.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _bits(value):
+    # value with every float as its bit pattern, so -0.0 differs from 0.0
+    if isinstance(value, float):
+        return ("float", int(np.float64(value).view(np.uint64)))
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    value=st.dictionaries(st.text(max_size=3), st.lists(st.floats(allow_nan=False, allow_infinity=False)) | _JSON_VALUES,
+                          max_size=4),
+    layout=st.sampled_from([_WRITER_LAYOUT, json.dumps]),
+    piece=st.sampled_from([1, 3, 7, 64, 1 << 16]),
+)
+def test_read_document_is_json_loads(value, layout, piece):
+    # float arrays at the top level are blocks, read in pieces of any size;
+    # every other member, and any document in another layout, is json.loads'
+    text = layout(value)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "doc.json")
+        Path(path).write_text(text, encoding="utf-8")
+        mp.setattr(fucik.operator, "_READ_PIECE", piece)
+        got = fucik.operator._read_document(path)
+    expected = json.loads(text)
+    for key, v in expected.items():
+        block = isinstance(got[key], fucik.operator._FloatBlock)
+        # a float block: in this layout, under a key written as it is, a
+        # non-empty list of numbers orjson reads as floats
+        assert block == (layout is _WRITER_LAYOUT and json.dumps(key) == f'"{key}"' and "\\" not in key
+                         and isinstance(v, list) and len(v) > 0 and all(_finite_number(x) for x in v))
+        if block:  # of floats where json.loads gave integers
+            expected[key] = [float(x) for x in v]
+    assert _bits(_as_lists(got)) == _bits(expected)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64, 1 << 16])
+def test_members_that_only_start_like_blocks_are_read_whole(tmp_path, monkeypatch, piece):
+    # "a" fails after pieces of numbers, "b" at a closer without its indent;
+    # both are read again by json.loads, and the block after them is still one
+    numbers = ",\n    ".join(repr(0.1 * i) for i in range(40))
+    text = (f'{{\n  "a": [\n    {numbers},\n    "x"\n  ],\n  "b": [\n    1.0,\n    2.0125],'
+            f'\n  "c": [\n    {numbers}\n  ]\n}}\n')
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(fucik.operator, "_READ_PIECE", piece)
+    got = fucik.operator._read_document(str(path))
+    assert [isinstance(got[key], fucik.operator._FloatBlock) for key in "abc"] == [False, False, True]
+    assert _bits(_as_lists(got)) == _bits(json.loads(text))
+
+
+def _finite_number(x):
+    # an integer is one if it rounds to a finite float, as orjson reads it
+    if type(x) is int:
+        try:
+            x = float(x)
+        except OverflowError:
+            return False
+    return type(x) is float and math.isfinite(x)
