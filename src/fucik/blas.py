@@ -3,14 +3,17 @@
 numpy and scipy each load their own OpenBLAS (numpy's build has 64-bit
 integer symbols).  The sphere and saddle loops make thousands of small gemv
 calls and small Cholesky and eigensolver calls (LAPACK handles that spectrum
-binds once from scipy's library), on which a thread pool only spins, and
-the dense eigensolve at the sizes the CLI uses is slower with both pools
-awake than on one thread, so all of them run inside single_threaded(): it
-sets both pools to one thread and restores the previous counts on exit.  Scopes nest; the counts are
-process-wide, so scopes that overlap in several Python threads restore in
-the order they exit.  The libraries are resolved through ctypes on the first
-entry, via extension modules that link them; a missing library or symbol
-leaves that pool alone.
+binds once from scipy's library), on which a thread pool only spins.  The
+eigensolve's two half-size pencils are as fast on one thread as with both
+pools awake up to 1025 elements, the largest size the benchmark runs
+(0.21-0.23 s against 0.21-0.36 s there, on a 2-vCPU VM), and 20-30% slower
+at 2049 (1.0-1.7 s against 0.86-1.25 s), so the eigensolve runs on one
+thread too.  All of them run inside single_threaded(): it sets both pools
+to one thread and restores the previous counts on exit.  Scopes nest; the
+counts are process-wide, so scopes that overlap in several Python threads
+restore in the order they exit.  The libraries are resolved through ctypes
+on the first entry, via extension modules that link them; a missing
+library or symbol leaves that pool alone.
 """
 
 from __future__ import annotations

@@ -25,9 +25,13 @@ a tridiagonal matrix: assembly takes O(n) memory besides the dense result.
 This is the P1 scheme of Acosta and Borthagaray (SIAM J. Numer. Anal. 55,
 2017).
 
-Eigen-decomposition is the dense generalized symmetric solve A c = lambda M c
-(Cholesky reduction of M inside LAPACK, on one BLAS thread), producing an
-L2-orthonormal basis in which all later spectral computations are diagonal.
+Both matrices are exactly invariant under the mirror x -> a + b - x, which
+GalerkinOperator checks.  Eigen-decomposition folds the generalized
+symmetric problem A c = lambda M c by that mirror into its even and odd
+halves, two dense solves of half the size (Cholesky reduction of M inside
+LAPACK, on one BLAS thread), producing an L2-orthonormal basis of exactly
+even and odd eigenfunctions in which all later spectral computations are
+diagonal.
 
 A basis is saved as a JSON document whose float arrays are streamed one
 entry a line, and reloaded without holding the text whole: each such array
@@ -353,6 +357,12 @@ class GalerkinOperator:
             raise DimensionMismatch("matrix shapes do not match the mesh")
         if not (np.isfinite(self.stiffness).all() and np.isfinite(self.mass).all()):
             raise ConfigError("stiffness or mass overflows on this mesh")
+        # the mirror x -> a + b - x maps the uniform mesh and the even kernel
+        # to themselves, and eigenpairs solves the even and odd halves apart;
+        # the upper rows through the centre meet every mirrored pair
+        rows = slice(n - n // 2)
+        if not all(np.array_equal(X[rows], X[::-1, ::-1][rows]) for X in (self.stiffness, self.mass)):
+            raise ConfigError("stiffness or mass is not exactly reflection-symmetric")
 
 
 def _mass_matrix(mesh: Mesh1D) -> np.ndarray:
@@ -447,7 +457,13 @@ def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
     diag += 2.0 * (q[:N, 1] + q[1:, 0])
     off += 2.0 * q[1:N, 2]
 
-    # Toeplitz plus symmetric tridiagonal is exactly symmetric
+    # Toeplitz plus symmetric tridiagonal is exactly symmetric, and exactly
+    # reflection-symmetric once the tridiagonal part is: the cumulative sums
+    # above reach node i and node N-1-i in different orders, so each pair of
+    # mirrored entries is replaced by its mean, which is the same float both
+    # ways round
+    diag = 0.5 * (diag + diag[::-1])
+    off = 0.5 * (off + off[::-1])
     A = scipy.linalg.toeplitz(row)
     idx = np.arange(N)
     A[idx, idx] += diag
@@ -588,42 +604,104 @@ def _tridiagonal_times(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.n
     return tv
 
 
+def _fold(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forms of a reflection-symmetric X on its even and odd vectors.
+
+    With m = N // 2 and J the m x m reversal, an even vector is (y, c, J y)
+    and an odd one (y, 0, -J y), the centre entry c only for odd N.  On them
+    x^T X x = z^T E z with z = (y, c), and y^T O y, where
+    E = [[2 (X_LL + X_LR J), 2 x], [2 x^T, X_cc]] (x the centre column's
+    upper part) and O = 2 (X_LL - X_LR J).  The doubling is exact, and both
+    forms are exactly symmetric because X is.  An overflowed entry is left
+    for eigh to refuse.
+    """
+    n = len(X)
+    m = n // 2
+    near, far = X[:m, :m], X[:m, ::-1][:, :m]
+    even = np.empty((n - m, n - m))
+    if n % 2:
+        even[m, :m] = even[:m, m] = X[m, :m]
+    with np.errstate(over="ignore"):
+        np.add(near, far, out=even[:m, :m])
+        odd = near - far
+        even *= 2.0
+        odd *= 2.0
+    if n % 2:
+        even[m, m] = X[m, m]
+    return even, odd
+
+
+def _signed(Z: np.ndarray) -> np.ndarray:
+    """Z with each column's sign fixed: its largest-magnitude entry positive,
+    where entries within a relative 1e-9 of the largest tie and the tie
+    goes to the row nearest a (the first).  The ties are real: an odd mode's
+    mirrored entries are equal and opposite, and the local kernel's sampled
+    sines peak at two nodes alike to the last bits, which LAPACK would
+    otherwise decide between."""
+    magnitude = np.abs(Z)
+    first = np.argmax(magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0), axis=0)
+    return Z * np.where(Z[first, np.arange(Z.shape[1])] < 0.0, -1.0, 1.0)
+
+
 @single_threaded()
 def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
-    """Dense generalized symmetric eigensolve with deterministic signs.
+    """Dense generalized symmetric eigensolve, folded by the reflection.
 
-    Runs on one BLAS thread: at the sizes the CLI uses, numpy's and scipy's
-    OpenBLAS pools contend for the cores and slow the solve down.  V is kept
-    in one C-ordered array, and each certificate V^T (X V) needs one N x N
-    temporary besides its own storage; the P1 mass is tridiagonal, so M V
-    is formed from its three diagonals.  Raises
-    FactorizationFailure when the mass matrix is not positive definite or
-    the returned basis misses its orthonormality certificates, and
+    The mesh, the kernel and so A and M are invariant under the mirror
+    x -> a + b - x, so every eigenfunction is even or odd, and the pencil
+    (A, M) splits into the two half-size pencils of _fold (Cantoni and
+    Butler, Linear Algebra Appl. 13, 1976).  Each is solved by a dense
+    eigh on one BLAS thread, which up to 1025 elements is as fast as two
+    (blas.py gives the measurements).  Each half's vectors get their
+    deterministic signs (_signed) and are written, mirrored, straight into
+    their columns of the one C-ordered V, in ascending order of the
+    eigenvalues, so every column is exactly even or odd.  The cross-parity blocks of V^T M V and V^T A V then vanish, and
+    the certificates are taken per half: Z^T (X Z) needs one half-size
+    temporary besides its own storage, and the folded P1 mass is
+    tridiagonal, so its product is formed from three diagonals.  Raises
+    FactorizationFailure when a half's mass is not positive definite or a
+    half misses its certificates (a NaN defect misses them too), and
     DegenerateSplit when lambda_k and lambda_{k+1} coincide to tolerance.
     """
+    pencils = list(zip(_fold(op.stiffness), _fold(op.mass)))
     try:
-        lam, V = scipy.linalg.eigh(op.stiffness, op.mass)
-    except scipy.linalg.LinAlgError as e:
+        halves = [scipy.linalg.eigh(a, b) for a, b in pencils]
+    except (scipy.linalg.LinAlgError, ValueError) as e:  # ValueError: an overflowed fold
         raise FactorizationFailure(f"generalized eigensolve failed: {e}") from e
-    # deterministic sign: largest-magnitude component positive, applied in
-    # the C-ordered copy the basis keeps (LAPACK returns V F-ordered)
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0.0] = 1.0
-    V = np.multiply(V, signs, order="C")
+    halves = [(lam, _signed(Z)) for lam, Z in halves]
+    scale = max(1.0, max(float(np.max(np.abs(lam))) for lam, _ in halves))
 
-    def defect(product: np.ndarray, diagonal) -> float:
-        cert = V.T @ product
+    def defect(Z: np.ndarray, product: np.ndarray, diagonal) -> float:
+        cert = Z.T @ product
         cert[np.diag_indices_from(cert)] -= diagonal
         return float(np.max(np.abs(cert, out=cert)))
 
-    ortho_defect = defect(_tridiagonal_times(np.diagonal(op.mass), np.diagonal(op.mass, 1), V), 1.0)
-    if ortho_defect > 1e-10:
-        raise FactorizationFailure(f"basis not M-orthonormal (defect {ortho_defect:.2e})")
-    diag_defect = defect(op.stiffness @ V, lam)
-    if diag_defect > 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
-        raise FactorizationFailure(f"basis does not diagonalize A (defect {diag_defect:.2e})")
-    if lam[0] <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        for parity, (a, b), (lam, Z) in zip(("even", "odd"), pencils, halves):
+            ortho_defect = defect(Z, _tridiagonal_times(np.diagonal(b), np.diagonal(b, 1), Z), 1.0)
+            if not ortho_defect <= 1e-10:
+                raise FactorizationFailure(f"{parity} basis not M-orthonormal (defect {ortho_defect:.2e})")
+            diag_defect = defect(Z, a @ Z, lam)
+            if not diag_defect <= 1e-8 * scale:
+                raise FactorizationFailure(f"{parity} basis does not diagonalize A (defect {diag_defect:.2e})")
+    n = len(op.stiffness)
+    m = n // 2
+    lam = np.concatenate([lam for lam, _ in halves])
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    even, odd = np.split(column, [n - m])
+    (_, Z_even), (_, Z_odd) = halves
+    V = np.empty((n, n))
+    V[:m, even] = Z_even[:m]
+    V[n - m :, even] = Z_even[m - 1 :: -1]
+    V[:m, odd] = Z_odd
+    V[n - m :, odd] = -Z_odd[::-1]
+    if n % 2:
+        V[m, even] = Z_even[m]
+        V[m, odd] = 0.0
+    if not lam[0] > 0.0:
         raise FactorizationFailure(f"first eigenvalue {lam[0]!r} not positive")
     first = V[:, 0]
     if np.min(first) < -1e-8 * np.max(first):

@@ -87,13 +87,14 @@ def test_eigensolve_runs_single_threaded(pools, monkeypatch):
     seen = []
     eigh = scipy.linalg.eigh
 
-    def recording(*args, **kwargs):
-        seen.append(tuple(_counts(pools)))
-        return eigh(*args, **kwargs)
+    def recording(a, b, **kwargs):
+        seen.append((a.shape, tuple(_counts(pools))))
+        return eigh(a, b, **kwargs)
 
+    # 23 interior nodes: the even half holds the centre node, the odd one not
     monkeypatch.setattr(scipy.linalg, "eigh", recording)
     fucik.eigenpairs(fucik.assemble(fucik.Kernel.fractional(0.5), fucik.Mesh1D(-1.0, 1.0, 24)), k=1)
-    assert seen == [(1,) * len(pools)]
+    assert seen == [((12, 12), (1,) * len(pools)), ((11, 11), (1,) * len(pools))]
     assert _counts(pools) == [2] * len(pools)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -396,6 +397,100 @@ def test_eigen_sign_deterministic():
     b = _fractional_basis(16)
     assert np.array_equal(a.vectors, b.vectors)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    a=st.floats(-1e3, 1e3),
+    length=st.floats(1e-6, 1e6),
+    n_elements=st.integers(4, 160),
+)
+def test_assembled_matrices_are_exactly_reflection_symmetric(s, a, length, n_elements):
+    # the fold of eigenpairs is exact only on exactly mirror-symmetric
+    # matrices; the overflow a tiny s or domain can cause is mirrored too
+    mesh = fucik.Mesh1D(a, a + length, n_elements)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = (fucik.operator._assemble_fractional(fucik.Kernel.fractional(s), mesh),
+                    fucik.operator._assemble_local(mesh), fucik.operator._mass_matrix(mesh))
+    for X in matrices:
+        assert np.array_equal(X, X[::-1, ::-1], equal_nan=True)
+        assert np.array_equal(X, X.T, equal_nan=True)
+
+
+def test_operator_refuses_a_matrix_that_is_not_mirror_symmetric(frac32):
+    op = frac32.operator
+    stiffness = op.stiffness.copy()
+    stiffness[0, 0] = np.nextafter(stiffness[0, 0], np.inf)
+    with pytest.raises(fucik.ConfigError, match="reflection-symmetric"):
+        fucik.GalerkinOperator(kernel=op.kernel, mesh=op.mesh, stiffness=stiffness, mass=op.mass)
+
+
+_EIGEN_KERNELS = {"local": (fucik.Kernel.local(), (0.0, math.pi)),
+                  "fractional": (fucik.Kernel.fractional(0.5), (-1.0, 1.0)),
+                  "fractional-0.25": (fucik.Kernel.fractional(0.25), (-0.5, 2.0))}
+
+
+@pytest.mark.parametrize("kernel", sorted(_EIGEN_KERNELS))
+@pytest.mark.parametrize("n_elements", [16, 17, 64, 65, 256, 257])
+def test_folded_eigensolve_matches_the_full_solve(kernel, n_elements):
+    # the even and odd halves give the pairs of the one N x N pencil.  A
+    # dense solve resolves eigenvalues to about eps * lambda_max, which the
+    # local kernel's small lambda_1 (1e-5 of lambda_max at 256 elements)
+    # does not reach to 1e-12 of itself on either path
+    kernel, domain = _EIGEN_KERNELS[kernel]
+    op = fucik.assemble(kernel, fucik.Mesh1D(*domain, n_elements))
+    basis = fucik.eigenpairs(op, k=1)
+    ref, W = scipy.linalg.eigh(op.stiffness, op.mass)
+    error = np.abs(basis.eigenvalues - ref)
+    assert np.max(error) <= 1e-12 * ref[-1]
+    if kernel.variant == "fractional":
+        assert np.max(error / ref) <= 1e-12
+    V = basis.vectors
+    signs = np.sign(np.sum(V * (op.mass @ W), axis=0))
+    assert np.max(np.abs(V - W * signs)) <= 1e-10
+
+
+@pytest.mark.parametrize("kernel", sorted(_EIGEN_KERNELS))
+@pytest.mark.parametrize("n_elements", [4, 5, 16, 17, 96, 129])
+def test_every_eigenvector_is_exactly_even_or_odd(kernel, n_elements):
+    kernel, domain = _EIGEN_KERNELS[kernel]
+    V = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(*domain, n_elements)), k=1).vectors
+    even = np.all(V[::-1] == V, axis=0)
+    odd = np.all(V[::-1] == -V, axis=0)
+    assert np.all(even | odd)
+    # phi_1 is even, and the modes alternate on these kernels
+    assert np.array_equal(even, np.arange(V.shape[1]) % 2 == 0)
+
+
+@pytest.mark.parametrize("kernel", sorted(_EIGEN_KERNELS))
+def test_second_eigenfunction_starts_positive_on_every_mesh(kernel):
+    # phi_2 is odd, so its largest entries at i and N-1-i tie exactly; the
+    # sign rule gives the tie to the entry nearest a on every mesh
+    kernel, domain = _EIGEN_KERNELS[kernel]
+    for n_elements in range(16, 81):
+        V = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(*domain, n_elements)), k=1).vectors
+        assert V[0, 1] > 0.0, n_elements
+
+
+def test_a_nan_certificate_refuses_the_basis():
+    # the stiffness is about 1e196 and the mass 1e-196 here: the even half's
+    # eigh returns NaN pairs (or LAPACK refuses), and NaN defects must fail
+    # the certificates rather than pass them
+    op = fucik.assemble(fucik.Kernel.local(), fucik.Mesh1D(0.0, 3.6218530030510112e-196, 4))
+    with pytest.raises(fucik.FactorizationFailure, match="defect nan|eigensolve failed"):
+        fucik.eigenpairs(op, k=1)
+
+
+def test_sign_ties_go_to_the_entry_nearest_a():
+    # columns: an exact tie, a tie within 1e-9 of the largest entry, and a
+    # clear largest entry that lies farther from a
+    Z = np.array([[-1.0, -(1.0 - 5e-10), 0.5],
+                  [0.3, 1.0, 0.2],
+                  [1.0, 0.0, 1.0]])
+    signed = fucik.operator._signed(Z)
+    assert np.array_equal(signed, Z * np.array([-1.0, -1.0, 1.0]))
+    assert np.array_equal(fucik.operator._signed(-Z), signed)
 
 
 def test_degenerate_split_detected(frac32):
