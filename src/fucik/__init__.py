@@ -88,7 +88,6 @@ from .semilinear import (
     classify,
     problem_from_dict,
     residual_report,
-    saddle_gap_probe,
     semilinear_energy,
     semilinear_gradient,
     solve,

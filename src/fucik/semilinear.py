@@ -12,17 +12,23 @@ saddle geometry: anticoercive on the low subspace, bounded below on the
 manifold of partial maximizers when (alpha, beta) lies strictly below the
 spectral curve.  The solver exploits exactly that structure: phase one
 minimizes the reduced functional v -> max over the low subspace of E(u + v)
-by preconditioned descent, each evaluation being spectrum's reduced
-evaluation of J, now with the forcing terms; phase two polishes with a
-full-space Newton iteration on the gradient.
+by semismooth Newton steps, each evaluation being spectrum's reduced
+evaluation of J, now with the forcing terms.  The step's generalized
+Hessian is the Schur complement of E's on the high modes (spectrum._schur,
+shared with the sphere solver's frozen step); where it is not positive
+definite a preconditioned Barzilai-Borwein step stands in, and both steps
+are counted in the diagnostics.  Phase two polishes with a full-space
+Newton iteration on the gradient.
 
-On the curve itself solvability needs an admissibility condition on the
-asymptotic behavior of f and h (the generalized Landesman-Lazer check,
-operationalized as a ray-limit sign condition over the computed set of
-spectrum eigenfunctions).  When the condition fails, minimizing sequences
-escape along an eigenfunction ray; the solver detects the escape (norm
-growth with a Cauchy-stable direction) and reports the ray instead of a
-solution.
+Strictly below the curve (nonresonance) the theorem gives a solution for
+every h, so no escape is looked for there.  On the curve itself
+solvability needs an admissibility condition on the asymptotic behavior of
+f and h (the generalized Landesman-Lazer check, operationalized as a
+ray-limit sign condition over the computed set of spectrum
+eigenfunctions).  When the condition fails, minimizing sequences escape
+along an eigenfunction ray; at resonance the solver detects the escape
+(norm growth with a Cauchy-stable direction) and reports the ray instead
+of a solution.
 """
 
 from __future__ import annotations
@@ -48,7 +54,10 @@ from .spectrum import (
     _functional,
     _negate,
     _newton_slope,
+    _potrf,
+    _potrs,
     _reduced,
+    _schur,
     beta_of_alpha,
     maximize_low,
     minimize_on_sphere,
@@ -62,7 +71,7 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 DIVERGING_RAY = "diverging-ray"
 
-# divergence heuristics, fixed and recorded in SaddleResult.diagnostics
+# divergence heuristics at resonance, fixed and recorded in SaddleResult.diagnostics
 RAY_GROWTH_FACTOR = 10.0
 RAY_CAUCHY_TOL = 1e-4
 RAY_CAUCHY_WINDOW = 10
@@ -585,43 +594,27 @@ def _maximize_low_E(problem: SemilinearProblem, vh: np.ndarray, t0: np.ndarray, 
     return _reduced(problem.params, vh, t0, forcing=problem.forcing, tol=tol)
 
 
-def saddle_gap_probe(problem: SemilinearProblem, seed: int = 0) -> dict:
-    """Sampled certificate of the linking geometry.
-
-    Searches the smallest power-of-2 radius R (energy norm, capped at 2^15)
-    at which the sup of E over 50 samples of the low-subspace sphere of
-    radius R falls strictly below the inf of E over 50 samples of the
-    partial-maximizer manifold.  Failure to certify is reported, not raised: the solve may
-    proceed regardless.
-    """
+def _hessian(problem: SemilinearProblem, u: np.ndarray) -> np.ndarray:
+    """E's generalized Hessian in eigen-coefficients at the samples u."""
     p = problem.params
-    basis, k = p.basis, p.k
-    rng = np.random.default_rng(seed)
+    return np.diag(p.basis.eigenvalues) - p.basis.gram(_newton_slope(p.alpha, p.beta, u, problem.forcing))
 
-    # manifold samples: random high directions at a range of amplitudes
-    inf_high = math.inf
-    for _ in range(50):
-        c = np.zeros(basis.dim)
-        c[k:] = rng.standard_normal(basis.dim - k)
-        c[k:] *= rng.uniform(0.2, 8.0) / np.linalg.norm(c[k:])
-        v = to_field(basis, coeffs=c)
-        top = maximize_low(p, v)
-        w = to_field(basis, coeffs=top.coeffs + c)
-        inf_high = min(inf_high, semilinear_energy(problem, w))
 
-    radius = 1.0
-    while radius <= 2.0**15:
-        sup_low = -math.inf
-        for _ in range(50):
-            t = rng.standard_normal(k)
-            t *= radius / math.sqrt(float(basis.eigenvalues[:k] @ t**2))
-            c = np.zeros(basis.dim)
-            c[:k] = t
-            sup_low = max(sup_low, semilinear_energy(problem, to_field(basis, coeffs=c)))
-        if sup_low < inf_high:
-            return {"radius": radius, "sup_low": sup_low, "inf_high": inf_high, "certified": True}
-        radius *= 2.0
-    return {"radius": radius / 2.0, "sup_low": sup_low, "inf_high": inf_high, "certified": False}
+def _newton_direction(problem: SemilinearProblem, u: np.ndarray, g: np.ndarray):
+    """(d, lift): the semismooth Newton direction d = S^-1 g of the reduced
+    functional at the composite samples u, where g is its gradient and S the
+    Schur complement of E's generalized Hessian on the high modes, with
+    _schur's low lift; None when S does not factor as positive definite or
+    d is not a descent direction."""
+    split = _schur(_hessian(problem, u), problem.params.k)
+    if split is None:
+        return None
+    schur, lift = split
+    factor, info = _potrf(schur, clean=0)
+    if info:
+        return None
+    d = _potrs(factor, g)[0]
+    return (d, lift) if float(g @ d) > 0.0 else None
 
 
 def _detect_ray(norms: list, dirs: list):
@@ -642,8 +635,15 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     """Two-phase saddle-point search for a critical point of E.
 
     Phase one minimizes the reduced functional (partial max over the low
-    subspace, warm-started and Newton-polished) by preconditioned descent
-    over the high subspace, watching for norm escape along a stable ray.
+    subspace, warm-started and Newton-polished) over the high subspace by
+    semismooth Newton steps with the Schur complement of E's generalized
+    Hessian, each low Newton starting from the previous maximizer moved by
+    the complement's low lift.  At an iterate whose complement does not
+    factor as positive definite a preconditioned Barzilai-Borwein step is
+    taken instead, and at that sign pattern Newton is tried again only
+    after 1, 2, 4, ... such steps in a row; diagnostics count both
+    (phase1_newton_steps, phase1_bb_fallbacks).
+    At resonance phase one watches for norm escape along a stable ray.
     Phase two runs full-space Newton on the E gradient with a least-squares
     fallback for the singular directions that appear at resonance.
     Convergence means the residual is at most tol_res.  At resonance the
@@ -658,6 +658,8 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
         "ray_growth_factor": RAY_GROWTH_FACTOR,
         "ray_cauchy_tol": RAY_CAUCHY_TOL,
         "ray_cauchy_window": RAY_CAUCHY_WINDOW,
+        "phase1_newton_steps": 0,
+        "phase1_bb_fallbacks": 0,
     }
 
     gll = None
@@ -677,46 +679,64 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     v = np.zeros(basis.dim - k)
     trace = []
     norms, dirs = [], []
-    iterations = 0
+    iterations = run = 0
     val, g_full, c_cur, u_cur, delta_eff = _maximize_low_E(problem, v, np.zeros(k), inner_tol)
     g = g_full[k:]
     eta = 1.0
-    prev_v = prev_g = None
+    prev_v = prev_g = failed = None
     for _ in range(_PHASE1_ITERS):
         gn = float(np.linalg.norm(g))
         res_full = float(np.linalg.norm(g_full))
         trace.append((val, res_full))
-        norms.append(float(np.linalg.norm(c_cur)))
-        dirs.append(c_cur / max(norms[-1], 1e-300))
-        ray = _detect_ray(norms, dirs)
-        if ray is not None:
-            return SaddleResult(
-                u_star=None,
-                residual=res_full,
-                energy=val,
-                iterations=iterations,
-                status=DIVERGING_RAY,
-                trace=tuple(trace),
-                ray=to_field(basis, coeffs=ray),
-                diagnostics=diagnostics,
-                gll=gll,
-            )
+        # the nonresonance theorem gives a solution for every h, so an escape
+        # is only looked for at resonance
+        if problem.regime == RESONANCE:
+            norms.append(float(np.linalg.norm(c_cur)))
+            dirs.append(c_cur / max(norms[-1], 1e-300))
+            ray = _detect_ray(norms, dirs)
+            if ray is not None:
+                return SaddleResult(
+                    u_star=None,
+                    residual=res_full,
+                    energy=val,
+                    iterations=iterations,
+                    status=DIVERGING_RAY,
+                    trace=tuple(trace),
+                    ray=to_field(basis, coeffs=ray),
+                    diagnostics=diagnostics,
+                    gll=gll,
+                )
         if gn <= 0.5 * tol_res:
             break
-        d = pre * g
-        if prev_v is not None:
-            dv = v - prev_v
-            dg = g - prev_g
-            denom = float(dv @ dg)
-            eta = min(max(float(dv @ dv) / denom, 1e-4), 1e4) if denom > 0 else 1.0
-        step = eta
+        # at the sign pattern where the complement last failed to factor,
+        # Newton is tried again only after 1, 2, 4, ... fallback steps in a
+        # row: the f' weights still move it, but forming it is O(N^3)
+        pattern = (u_cur > 0.0).tobytes()
+        newton = None
+        if pattern != failed or run & (run - 1) == 0:
+            newton = _newton_direction(problem, u_cur, g)
+        if newton is not None:
+            diagnostics["phase1_newton_steps"] += 1
+            d, lift = newton
+            step, run = 1.0, 0
+        else:
+            diagnostics["phase1_bb_fallbacks"] += 1
+            failed, lift, run = pattern, None, run + 1
+            d = pre * g
+            if prev_v is not None:
+                dv = v - prev_v
+                dg = g - prev_g
+                denom = float(dv @ dg)
+                eta = min(max(float(dv @ dv) / denom, 1e-4), 1e4) if denom > 0 else 1.0
+            step = eta
         # the decrease must clear the rounding of val: once the Armijo term
-        # drops below it, equal values would pass and starve the BB step
+        # drops below it, equal values would pass and starve the step
         slope, floor = float(g @ d), 1e-15 * (1.0 + abs(val))
         accepted = False
         for _ in range(30):
             v_new = v - step * d
-            val_new, g_full_new, c_new, u_new, deff = _maximize_low_E(problem, v_new, c_cur[:k], inner_tol)
+            t0 = c_cur[:k] if lift is None else c_cur[:k] - step * (lift @ d)
+            val_new, g_full_new, c_new, u_new, deff = _maximize_low_E(problem, v_new, t0, inner_tol)
             g_new = g_full_new[k:]
             if val_new < val - max(1e-4 * step * slope, floor) or float(np.linalg.norm(g_new)) <= 0.5 * gn:
                 accepted = True
@@ -739,7 +759,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     for _ in range(_NEWTON_ITERS):
         if res <= newton_target:
             break
-        hess = np.diag(lam) - basis.gram(_newton_slope(p.alpha, p.beta, u_s, forcing))
+        hess = _hessian(problem, u_s)
         try:
             step = scipy.linalg.solve(hess, -g_full, check_finite=False)
         except scipy.linalg.LinAlgError:

@@ -40,9 +40,9 @@ integrates products of piecewise-linear fields exactly, through the hat
 interpolation P and the tridiagonal hat-product matrix T (Hessians V^T T V);
 several identities in the tests (diagonal case, concavity constant) hold to
 machine precision.  The small factorizations (the k x k Newton systems, the
-frozen step's Cholesky of -h11 and the lowest eigenpair of its Schur
-complement) go through LAPACK handles (potrf, potrs, syevr) bound once at
-import.
+frozen step's Cholesky of -h11 in _schur, which semilinear's Newton phase
+shares, and the lowest eigenpair of its Schur complement) go through LAPACK
+handles (potrf, potrs, syevr) bound once at import.
 """
 
 from __future__ import annotations
@@ -418,18 +418,30 @@ _DESCEND_ITERS = 80
 _FREEZE_ITERS = 40
 
 
-def _frozen_minimum(h: np.ndarray, k: int):
-    """(schur, mu, vec, lift): the Schur complement of h's leading k x k
-    block, its lowest eigenpair, and the low lift L = -h11^-1 h12 (k x (N-k)),
-    or None when a LAPACK call fails.  -h11 is positive definite for a
-    frozen Hessian (lambda_j < alpha <= beta for j <= k); syevr reads the
-    upper triangle of the complement.  L v maximizes the frozen quadratic
-    over the low coefficients at high coefficients v."""
+def _schur(h: np.ndarray, k: int):
+    """(schur, lift): the Schur complement h22 - h21 h11^-1 h12 of h's leading
+    k x k block and the low lift L = -h11^-1 h12 (k x (N-k)), or None when the
+    Cholesky factorization of -h11 fails.  -h11 is positive definite for a
+    generalized Hessian of J or E (lambda_j < alpha <= beta for j <= k, as in
+    _maximize_t).  L dv is the change of the quadratic model's low maximizer
+    when the high coefficients change by dv, and the complement is the
+    Hessian of the reduced functional there."""
     factor, info = _potrf(-h[:k, :k], clean=0)
     if info:
         return None
     lift = _potrs(factor, h[:k, k:])[0]
-    schur = h[k:, k:] + h[:k, k:].T @ lift
+    return h[k:, k:] + h[:k, k:].T @ lift, lift
+
+
+def _frozen_minimum(h: np.ndarray, k: int):
+    """(schur, mu, vec, lift): _schur's complement of the frozen Hessian h,
+    its lowest eigenpair, and the low lift, or None when a LAPACK call
+    fails.  syevr reads the upper triangle of the complement.  L v maximizes
+    the frozen quadratic over the low coefficients at high coefficients v."""
+    split = _schur(h, k)
+    if split is None:
+        return None
+    schur, lift = split
     mu, vec, _, _, info = _syevr(schur, range="I", il=1, iu=1)
     return None if info else (schur, mu[0], vec[:, 0], lift)
 

@@ -212,10 +212,10 @@ def test_solve_mode_artifacts(tmp_path):
 
 
 def test_solve_mode_writes_the_same_solution_bytes(tmp_path, monkeypatch):
-    # the digest pins the folded eigensolve's rounding; against the full
-    # N x N solve it replaced, the parsed file kept its status and its 64
-    # iterations, u_star's nodal values moved by at most 1.3e-14, and the
-    # coefficients of the odd modes 4 and 8 flipped sign with their modes
+    # the digest pins the folded eigensolve's rounding and the Newton steps
+    # of phase 1; against the Barzilai-Borwein descent they replaced, the
+    # parsed file kept its status, its iterations fell from 64 to 4, and
+    # u_star's coefficients and nodal values moved by at most 2.1e-15
     monkeypatch.chdir(tmp_path)
     h = [math.sin(3 * i / 15.0) for i in range(15)]
     Path("problem.json").write_text(json.dumps({"alpha": 2.0, "beta": 2.6, "k": 1, "f": {"name": "tanh"},
@@ -223,7 +223,23 @@ def test_solve_mode_writes_the_same_solution_bytes(tmp_path, monkeypatch):
     assert _run(["--mode", "solve", "--elements", "16", "--problem", "problem.json", "--out", "solve"]) == 0
     data = Path("solve", "solution.json").read_bytes()
     assert json.loads(data)["status"] == fucik.CONVERGED
-    assert hashlib.sha256(data).hexdigest() == "7e6111baac3d3d6211c16abe90f6023cd3c292b21dba6b3963ec3e76dca5fe5c"
+    assert hashlib.sha256(data).hexdigest() == "828cc3f2abf33898e301474340694eb78d55933b594935b99d4346146cc2d9f2"
+
+
+def test_solve_mode_converges_below_the_curve(tmp_path):
+    # beta 90% of the way from lambda_2 to the curve (beta(alpha) = 18.303):
+    # nonresonant, so a solution exists for every h; the ray test once
+    # stopped this run after 88 iterations as diverging-ray, with exit 1
+    prob = tmp_path / "P.json"
+    prob.write_text(json.dumps({"alpha": 6.1759936047968305, "beta": 17.461213108016622,
+                                "f": {"name": "tanh"}, "h": {"named": "phi_2"}}))
+    out = tmp_path / "solve"
+    assert _run(["--mode", "solve", "--kernel", "local", "--domain=-1,1", "--elements", "48",
+                 "--problem", str(prob), "--out", str(out)]) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    assert doc["regime"] == fucik.NONRESONANCE
+    assert doc["status"] == fucik.CONVERGED
+    assert doc["residual"] <= doc["tol_res"]
 
 
 def test_solve_mode_on_curve_resonance(tmp_path):

@@ -607,6 +607,90 @@ def test_solve_detects_diverging_ray(basis):
     assert res.diagnostics["ray_growth_factor"] == 10.0
 
 
+def test_reduced_hessian_is_the_schur_complement(basis):
+    # the Newton step's Hessian: gradients of v -> max_t E(t + v) at nearby
+    # high points differ by the Schur complement of E's generalized Hessian
+    from fucik.spectrum import _newton_slope, _schur
+
+    prob = _nonres_problem(basis, nl=fucik.Nonlinearity.tanh(), h=_field(basis, [0.5, -2.0, 1.0]))
+    p, k = prob.params, basis.k
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal(basis.dim - k) / np.arange(2, basis.dim + 1)
+    tol = 1e-14
+    _, g, c, u, _ = semilinear._maximize_low_E(prob, v, np.zeros(k), tol)
+    schur, lift = _schur(np.diag(basis.eigenvalues) - basis.gram(_newton_slope(p.alpha, p.beta, u, prob.forcing)), k)
+    dv = 1e-6 * rng.standard_normal(basis.dim - k)
+    _, g2, c2, _, _ = semilinear._maximize_low_E(prob, v + dv, c[:k], tol)
+    assert np.linalg.norm(g2[k:] - g[k:] - schur @ dv) <= 1e-4 * np.linalg.norm(schur @ dv)
+    # the lift moves the low maximizer with the high coefficients
+    assert np.linalg.norm(c2[:k] - c[:k] - lift @ dv) <= 1e-4 * np.linalg.norm(lift) * np.linalg.norm(dv)
+
+
+def test_phase1_counts_repeat_exactly(basis):
+    # the counts go into solution.json, so they must not depend on the run
+    a = _mid_alpha(basis)
+    prob = fucik.build_problem(fucik.FucikParams(a, basis.lambda_k1, basis), fucik.Nonlinearity.tanh(),
+                               _field(basis, [0.5, -2.0, 1.0]))
+    runs = [fucik.solve(prob) for _ in range(3)]
+    counts = [(r.diagnostics["phase1_newton_steps"], r.diagnostics["phase1_bb_fallbacks"]) for r in runs]
+    assert counts[0] == counts[1] == counts[2]
+    newton, bb = counts[0]
+    assert type(newton) is int and type(bb) is int
+    assert newton > 0 and bb > 0
+    assert runs[0].status == fucik.CONVERGED
+    assert newton + bb <= runs[0].iterations
+    assert all(np.array_equal(r.u_star.coeffs, runs[0].u_star.coeffs) for r in runs)
+
+
+def test_phase1_takes_newton_steps():
+    # the solve workload's table problem: Barzilai-Borwein descent took 67
+    # phase-1 iterations, the Newton steps take 2
+    mesh = fucik.Mesh1D(0.0, math.pi, 10)
+    small = fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), mesh), k=1)
+    pts = np.arange(-2.75, 3.0, 0.5)
+    nl = fucik.Nonlinearity.from_table(pts, np.tanh(pts))
+    prob = fucik.build_problem(fucik.FucikParams(1.8, 2.1, small), nl, _field(small, [1.2, -0.6, 0.4]))
+    res = fucik.solve(prob)
+    assert res.status == fucik.CONVERGED
+    assert res.diagnostics["phase1_bb_fallbacks"] == 0
+    assert res.diagnostics["phase1_newton_steps"] <= 4
+
+
+@pytest.fixture(scope="module")
+def nonresonance_strips():
+    # (basis, mid-strip alpha, curve point there) on (-1, 1) at 48 elements
+    strips = {}
+    for name, kernel in (("local", fucik.Kernel.local()), ("fractional", fucik.Kernel.fractional(0.5))):
+        for k in (1, 2):
+            b = fucik.eigenpairs(fucik.assemble(kernel, fucik.Mesh1D(-1.0, 1.0, 48)), k=k)
+            alpha = _mid_alpha(b)
+            strips[name, k] = (b, alpha, fucik.beta_of_alpha(alpha, b, seed=0))
+    return strips
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kernel", ["local", "fractional"])
+def test_nonresonance_sweep_converges(nonresonance_strips, kernel, k, frac):
+    # beta a fraction frac of the way from lambda_{k+1} to the curve, f = tanh
+    # and h = c phi_j: the theorem gives a solution for every h, and the ray
+    # test once stopped 32 of these 72 problems as diverging-ray
+    basis, alpha, root = nonresonance_strips[kernel, k]
+    beta = basis.lambda_k1 + frac * (root.beta - basis.lambda_k1)
+    params = fucik.FucikParams(alpha, beta, basis)
+    failed = []
+    for c in (1.0, 10.0, 100.0):
+        for j in (1, 2, 3):
+            h = np.zeros(basis.dim)
+            h[j - 1] = c
+            prob = fucik.build_problem(params, fucik.Nonlinearity.tanh(), fucik.to_field(basis, coeffs=h), root=root)
+            assert prob.regime == fucik.NONRESONANCE
+            res = fucik.solve(prob)
+            if res.status != fucik.CONVERGED or not res.residual <= prob.tol_res:
+                failed.append((c, j, res.status, res.residual / prob.tol_res))
+    assert failed == []
+
+
 def test_solve_orthogonal_forcing_at_resonance(basis):
     h = _field(basis, [1.0])
     prob = _diag_resonance(basis, fucik.Nonlinearity.zero(), h)
@@ -631,14 +715,6 @@ def test_solve_refuses_failed_admissibility(basis):
     prob = _diag_resonance(basis, fucik.Nonlinearity.zero(), h)
     with pytest.raises(fucik.RegimeViolation):
         fucik.solve(prob)
-
-
-def test_saddle_gap_certified(basis):
-    h = _field(basis, [0.1])
-    prob = _nonres_problem(basis, nl=fucik.Nonlinearity.tanh(), h=h, frac=0.3)
-    gap = fucik.saddle_gap_probe(prob, seed=1)
-    assert gap["certified"]
-    assert gap["sup_low"] < gap["inf_high"]
 
 
 # ---------------------------------------------------------------------------

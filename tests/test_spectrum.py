@@ -1125,3 +1125,28 @@ def test_composite_field_changes_sign(local2):
         scale = np.max(np.abs(nodal))
         assert nodal.min() < -1e-12 * scale
         assert nodal.max() > 1e-12 * scale
+
+
+def test_curve_sweep_compare_separates_rounding_from_real_moves(capsys):
+    # an eigenvalue's last-bit move shifts every alpha and the numbers the
+    # annotations print; compare passes that and still fails a real move
+    import copy
+
+    import curve_sweep
+
+    sample = {"alpha": 3.0000000000000004, "beta": 7.25, "m": 1e-12, "careful": False, "continued": True,
+              "root_solves": 5, "iterations": 40}
+    base = [{"config": "c", "seed": 0, "tolerances": {"tol_beta": 1e-5, "tol_m": 1e-7},
+             "annotations": ["alpha=2.5000000000000004: no root below beta_max=250.0"], "samples": [sample]}]
+    moved = copy.deepcopy(base)
+    moved[0]["samples"][0]["alpha"] = 3.000000000000001
+    moved[0]["annotations"] = ["alpha=2.500000000000001: no root below beta_max=250.00000000000003"]
+    assert curve_sweep.compare(base, moved) == 0
+    for key, value in (("alpha", 3.000001), ("root_solves", 6)):
+        bad = copy.deepcopy(moved)
+        bad[0]["samples"][0][key] = value
+        assert curve_sweep.compare(base, bad) == 1
+    bad = copy.deepcopy(moved)
+    bad[0]["annotations"] = ["alpha=2.5: bracket exhausted"]
+    assert curve_sweep.compare(base, bad) == 1
+    capsys.readouterr()
