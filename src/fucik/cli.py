@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptySeries, FucikError
+from .blas import single_threaded
+from .errors import ConfigError, EmptySeries, FucikError, OrderOutOfRange
 from .operator import (
     EigenBasis,
     Kernel,
@@ -152,10 +153,11 @@ def parse_kernel(spec: str) -> Kernel:
     prefix = "fractional:s="
     if spec.startswith(prefix):
         try:
-            s = float(spec[len(prefix):])
+            return Kernel.fractional(float(spec[len(prefix):]))
         except ValueError:
             raise ConfigError(f"cannot parse fractional order in kernel spec {spec!r}")
-        return Kernel.fractional(s)
+        except OrderOutOfRange as e:  # a config error like any other malformed entry
+            raise ConfigError(f"kernel spec {spec!r}: {e}") from e
     raise ConfigError(f"unknown kernel spec {spec!r}; use 'local' or 'fractional:s=<order>'")
 
 
@@ -344,7 +346,7 @@ def plot_svg(series: list, title: str = "", xlabel: str = "", ylabel: str = "", 
 
 
 # ---------------------------------------------------------------------------
-# mode runners (each returns ({filename: text or text chunks}, exit_status))
+# mode runners (each returns ({filename: text or byte chunks}, exit_status))
 
 
 def _run_eigen(cfg: RunConfig, prov: dict):
@@ -548,8 +550,14 @@ _MODE_RUNNERS = {
 }
 
 
+@single_threaded()
 def run(config: RunConfig) -> int:
     """Execute one configured run and write its artifacts.
+
+    The run is one single-threaded BLAS scope (blas.py), so its N^2
+    products outside the solver loops, such as the nodal values of
+    solution.json and the nodal forcing of a problem document, stay off
+    the pool as well.
 
     Artifacts are computed in full, then each goes to its own temp file,
     JSON formatted as it is written, before any is renamed into place, so a
@@ -562,7 +570,7 @@ def run(config: RunConfig) -> int:
     artifacts, status = _MODE_RUNNERS[config.mode](config, prov)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic({out_dir / name: [a] if isinstance(a, str) else a for name, a in sorted(artifacts.items())})
+    _write_atomic({out_dir / name: artifacts[name] for name in sorted(artifacts)})
     return status
 
 

@@ -90,10 +90,10 @@ _GAUSS_ORDER = 8
 _JSON_BLOCK = 4096
 # The indented layout of a top-level float array member (a float block):
 # _json_document writes these tokens and _read_document cuts its pieces at them.
-_BLOCK_OPEN, _BLOCK_SEP, _BLOCK_CLOSE = "[\n    ", ",\n    ", "\n  ]"
+_BLOCK_OPEN, _BLOCK_SEP, _BLOCK_CLOSE = b"[\n    ", b",\n    ", b"\n  ]"
 # The start of a float block, through its opener, and its longest length;
 # a member whose key is longer is left to json.loads with the rest.
-_BLOCK_START = re.compile(rb'\n  "[^"\\\n]{0,64}": ' + re.escape(_BLOCK_OPEN.encode()))
+_BLOCK_START = re.compile(rb'\n  "[^"\\\n]{0,64}": ' + re.escape(_BLOCK_OPEN))
 _BLOCK_START_MAX = len('\n  "": ') + 64 + len(_BLOCK_OPEN)
 # Bytes of a document read at a time: past 64 KiB the buffers, not the
 # arrays, set a reload's peak, and the parse is no faster.
@@ -364,6 +364,10 @@ class GalerkinOperator:
         if not all(np.array_equal(X[rows], X[::-1, ::-1][rows]) for X in (self.stiffness, self.mass)):
             raise ConfigError("stiffness or mass is not exactly reflection-symmetric")
 
+    def mass_times(self, v: np.ndarray) -> np.ndarray:
+        """M v in O(n) per column, from the three diagonals of the P1 mass."""
+        return _tridiagonal_times(np.diagonal(self.mass), np.diagonal(self.mass, 1), v)
+
 
 def _mass_matrix(mesh: Mesh1D) -> np.ndarray:
     h, n = mesh.h, mesh.interior_dim
@@ -590,17 +594,20 @@ class EigenBasis:
         return v.T.dot(_tridiagonal_times(per_element[1:, 0] + per_element[:-1, 1], per_element[1:-1, 2], v))
 
     def coeffs_from_nodal(self, nodal: np.ndarray) -> np.ndarray:
-        return self.vectors.T @ (self.operator.mass @ nodal)
+        return self.vectors.T @ self.operator.mass_times(nodal)
 
     def nodal_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return self.vectors @ coeffs
 
 
 def _tridiagonal_times(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T v for the symmetric tridiagonal T with this diagonal and off-diagonal."""
-    tv = diag[:, None] * v
-    tv[:-1] += off[:, None] * v[1:]
-    tv[1:] += off[:, None] * v[:-1]
+    """T v for the symmetric tridiagonal T with this diagonal and off-diagonal,
+    v a vector or a matrix of columns."""
+    if v.ndim == 2:
+        diag, off = diag[:, None], off[:, None]
+    tv = diag * v
+    tv[:-1] += off * v[1:]
+    tv[1:] += off * v[:-1]
     return tv
 
 
@@ -797,21 +804,23 @@ def basis_document(basis: EigenBasis) -> dict:
 
 
 def _write_atomic(files: dict) -> None:
-    """Write each {path: text chunks} through a uniquely named temp file beside it.
+    """Write each {path: text or byte chunks} through a uniquely named temp file beside it.
 
-    All are written before any is renamed, so a failure while producing one
-    leaves every target untouched; one between renames keeps the earlier ones.
+    A str is encoded once, as UTF-8; any other value is an iterable of bytes
+    chunks, written as they come.  All are written before any is renamed, so
+    a failure while producing one leaves every target untouched; one between
+    renames keeps the earlier ones.
     """
     temps = {}
     try:
-        for path, chunks in files.items():
+        for path, content in files.items():
             fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
+            with os.fdopen(fd, "wb") as f:
                 # mkstemp creates the file owner-only; give it the mode open() would
                 mask = os.umask(0)
                 os.umask(mask)
                 os.fchmod(f.fileno(), 0o666 & ~mask)
-                f.writelines(chunks)
+                f.writelines([content.encode("utf-8")] if isinstance(content, str) else content)
         for path in files:
             os.replace(temps[path], path)
             del temps[path]
@@ -829,43 +838,54 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _float_block(block: np.ndarray) -> str:
-    """The entries' reprs joined by the indented array separator.
+def _float_block(block: np.ndarray) -> bytes:
+    """The entries' reprs joined by the indented array separator, as bytes.
 
-    orjson picks the same shortest digits as repr, but writes them without
-    an exponent where repr uses one (0 < |x| < 1e-4 and |x| >= 1e16); those
-    few entries are formatted by repr instead.
+    orjson formats the contiguous float64 block straight from the array and
+    picks the same shortest digits as repr, but writes no exponent where
+    repr writes one (0 < |x| < 1e-4 and |x| >= 1e16).  The block is cut at
+    those few entries, which repr formats, and orjson formats the runs
+    between them.  On a 1025-element fractional basis (1.05M entries, 54 of
+    them cut out) _json_document formats basis.json in 0.07-0.08 s against
+    0.12-0.13 s when each block's tolist() was formatted and its entries
+    split and joined one by one (7 runs each, 2-vCPU VM).
     """
-    values = block.tolist()
-    items = orjson.dumps(values)[1:-1].split(b",")
+    block = np.ascontiguousarray(block)
     magnitude = np.abs(block)
+    pieces, start = [], 0
     for i in np.flatnonzero(((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)).tolist():
-        items[i] = float.__repr__(values[i]).encode()
-    return _BLOCK_SEP.encode().join(items).decode()
+        if start < i:
+            pieces.append(orjson.dumps(block[start:i], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+        pieces.append(float.__repr__(block[i]).encode())
+        start = i + 1
+    if start < block.size:
+        pieces.append(orjson.dumps(block[start:], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+    return b",".join(pieces).replace(b",", _BLOCK_SEP)
 
 
 def _json_document(doc: dict):
-    """Yield ``json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\\n"`` in chunks.
+    """Yield ``json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\\n"``
+    as UTF-8 bytes, in chunks.
 
     json's indenting encoder is pure Python and returns the whole text, so a
     top-level member that is a non-empty 1-D array of finite float64 (the
     eigenvectors of basis.json) is formatted one block of _JSON_BLOCK entries
     at a time by _float_block, and the text is never held whole; every other
-    member goes through json.dumps.
+    member goes through json.dumps, whose ASCII text is encoded as it is.
     """
-    opener = "{"
+    opener = b"{"
     for key in sorted(doc):
         value = doc[key]
-        yield f"{opener}\n  {json.dumps(key)}: "
-        opener = ","
+        yield opener + b"\n  " + json.dumps(key).encode() + b": "
+        opener = b","
         floats = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
         if floats and value.size and np.isfinite(value).all():
             for start in range(0, value.size, _JSON_BLOCK):
                 yield (_BLOCK_SEP if start else _BLOCK_OPEN) + _float_block(value[start : start + _JSON_BLOCK])
             yield _BLOCK_CLOSE
         else:
-            yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
-    yield "\n}\n" if doc else "{}\n"
+            yield json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ").encode()
+    yield b"\n}\n" if doc else b"{}\n"
 
 
 def save_basis(basis: EigenBasis, path: str) -> None:
@@ -903,18 +923,17 @@ def _read_block(f, data: bytes, at: int):
     a block once anything but numbers, commas and whitespace comes before
     the first closing bracket, or that bracket is not the closer.
     """
-    close = _BLOCK_CLOSE.encode()
     pieces, head = [], bytearray()  # head: the number bytes since the last comma
     while True:
-        end = data.find(close[-1:], at)
+        end = data.find(_BLOCK_CLOSE[-1:], at)
         body = data[at : len(data) if end < 0 else end]
         if body.translate(None, _NUMBER_BYTES):
             return None
         if end >= 0:
             head += body
-            if not head.endswith(close[:-1]):
+            if not head.endswith(_BLOCK_CLOSE[:-1]):
                 return None
-            pieces.append(_block_numbers(head[: 1 - len(close)]))
+            pieces.append(_block_numbers(head[: 1 - len(_BLOCK_CLOSE)]))
             return None if pieces[-1] is None else (np.concatenate(pieces), data, end + 1)
         cut = body.rfind(b",")
         if cut >= 0:
@@ -962,7 +981,7 @@ def _read_document(path: str):
             read = f.tell()
             block = _read_block(f, data, start.end())
             if block is None:  # the member's text joins the rest
-                rest += _BLOCK_OPEN.encode()
+                rest += _BLOCK_OPEN
                 pos = start.end()
                 if f.tell() != read:  # read again what the block read on
                     f.seek(read - len(data) + pos)
@@ -1013,17 +1032,21 @@ def _document_array(values, what: str, size: int) -> np.ndarray:
     return np.array([_config_number(value, f"{what} entry") for value in values])
 
 
+@single_threaded()
 def load_basis(path: str, k: int = 1) -> EigenBasis:
     """Rebuild a basis from its document, reassembling the matrices.
 
     The document is read by _read_document, in pieces: its float blocks go
     straight into arrays, and neither the text nor a list of its numbers is
     held whole.  On a 1025-element fractional basis.json (25.8 MB), one
-    reload in a fresh process took 0.11-0.13 s and raised peak RSS by
+    reload in a fresh process took 0.11-0.14 s and raised peak RSS by
     26 MiB, about the 24 MiB of the vectors and the two reassembled
-    matrices; a whole-document json.load took 0.36-0.47 s and 65 MiB (6 runs
-    each, 2-vCPU VM).  One probe r = A V x - M V (lambda x), for a fixed x,
-    checks every pair against the reassembled matrices in O(n^2).
+    matrices (5 runs, 2-vCPU VM); a whole-document json.load took
+    0.36-0.47 s and 65 MiB.  One probe r = A V x - M V (lambda x), for a
+    fixed x, checks every pair against the reassembled matrices in O(n^2).
+    It runs on one BLAS thread (blas.py): on the default two-thread pool
+    its N^2 products cost over ten times as much, and the woken worker
+    spins on into the caller's next operation.
 
     Raises ConfigError on a document that is not valid UTF-8 JSON, misses or
     mistypes a member, holds an array of the wrong length (n eigenvalues and
@@ -1068,7 +1091,7 @@ def load_basis(path: str, k: int = 1) -> EigenBasis:
     u = rng.uniform(1.0, 2.0, n) * rng.choice((-1.0, 1.0), n)
     x = u / (1.0 + np.abs(lam))
     with np.errstate(over="ignore", invalid="ignore"):
-        r = op.stiffness @ (V @ x) - op.mass @ (V @ (lam * x))
+        r = op.stiffness @ (V @ x) - op.mass_times(V @ (lam * x))
         consistent = np.linalg.norm(r) <= 1e-6 * float(np.abs(u).sum())
     if not consistent:
         raise ConfigError("document inconsistent with reassembled operator")

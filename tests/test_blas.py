@@ -1,5 +1,6 @@
 """Tests for the scoped single-threaded BLAS around the solver loops."""
 
+import json
 import math
 
 import numpy as np
@@ -107,3 +108,45 @@ def test_eigen_is_byte_identical_across_blas_thread_counts(pools, tmp_path, kern
         assert fucik.main(args + ["--out", str(tmp_path / str(threads))]) == 0
     for name in ("eigenvalues.csv", "basis.json"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_reload_runs_single_threaded(pools, monkeypatch, tmp_path):
+    # load_basis's consistency probe makes four N^2 products after assemble
+    seen = []
+    assemble = fucik.operator.assemble
+
+    def recording(*args, **kwargs):
+        seen.append(tuple(_counts(pools)))
+        return assemble(*args, **kwargs)
+
+    path = tmp_path / "basis.json"
+    fucik.save_basis(fucik.eigenpairs(assemble(fucik.Kernel.fractional(0.5), fucik.Mesh1D(-1.0, 1.0, 24)), k=1), path)
+    monkeypatch.setattr(fucik.operator, "assemble", recording)
+    fucik.load_basis(str(path))
+    assert seen == [(1,) * len(pools)]
+    assert _counts(pools) == [2] * len(pools)
+
+
+def test_cli_run_is_one_scope(pools, monkeypatch, tmp_path):
+    # the nodal values of solution.json and the nodal forcing are N^2
+    # products outside the solver loops
+    seen = []
+    basis_type = fucik.operator.EigenBasis
+    nodal_from_coeffs, coeffs_from_nodal = basis_type.nodal_from_coeffs, basis_type.coeffs_from_nodal
+
+    def recording(method):
+        def wrapped(self, values):
+            seen.append((method.__name__, tuple(_counts(pools))))
+            return method(self, values)
+        return wrapped
+
+    monkeypatch.setattr(basis_type, "nodal_from_coeffs", recording(nodal_from_coeffs))
+    monkeypatch.setattr(basis_type, "coeffs_from_nodal", recording(coeffs_from_nodal))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"alpha": 2.0, "beta": 2.6, "k": 1, "f": {"name": "tanh"},
+                                   "h": {"nodal": [math.sin(3 * i / 15.0) for i in range(15)]}}))
+    argv = ["--mode", "solve", "--elements", "16", "--problem", str(problem), "--out", str(tmp_path / "out")]
+    assert fucik.main(argv) == 0
+    assert {name for name, _ in seen} == {"nodal_from_coeffs", "coeffs_from_nodal"}
+    assert {counts for _, counts in seen} == {(1,) * len(pools)}
+    assert _counts(pools) == [2] * len(pools)

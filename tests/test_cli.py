@@ -105,6 +105,68 @@ def test_flags_override_config_file(tmp_path):
     assert cfg2.tolerances == {"beta": 1e-7}
 
 
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_ORDERS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_CONFIGS = st.builds(
+    fucik.RunConfig,
+    mode=st.sampled_from(cli._MODES),
+    kernel=st.just("local") | _ORDERS.map(lambda s: f"fractional:s={s!r}"),
+    domain=st.tuples(st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+                     st.floats(allow_nan=False, allow_infinity=False) | st.integers())
+    .filter(lambda d: float(d[0]) < float(d[1])),
+    elements=st.integers(4, 2**40),
+    k=st.integers(1, 2**20),
+    alpha_samples=st.integers(3, 2**20),
+    problem=st.none() | st.text(max_size=8),
+    out=st.text(min_size=1, max_size=8),
+    seed=st.integers(0, 2**64),
+    tolerances=st.dictionaries(st.sampled_from(cli._TOL_KEYS),
+                               st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_config_round_trips(cfg):
+    assert fucik.RunConfig.from_dict(cfg.to_dict()) == cfg
+    # a config file is the same dictionary through JSON text
+    again = fucik.RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg and again.config_hash == cfg.config_hash
+
+
+# each known key holds a value near its valid ones or any JSON value
+_CONFIG_ENTRIES = {
+    "mode": st.sampled_from(cli._MODES) | _ANY_JSON,
+    "kernel": (st.sampled_from(["local", "fractional:s="])
+               | (st.floats() | st.text(max_size=6)).map(lambda s: f"fractional:s={s}") | _ANY_JSON),
+    "domain": st.lists(st.floats() | st.integers() | _ANY_JSON, max_size=3) | _ANY_JSON,
+    "elements": st.integers(-2, 2**70) | _ANY_JSON,
+    "k": st.integers(-2, 2**70) | _ANY_JSON,
+    "alpha_samples": st.integers(-2, 2**70) | _ANY_JSON,
+    "problem": st.text(max_size=6) | _ANY_JSON,
+    "out": st.text(max_size=6) | _ANY_JSON,
+    "seed": st.integers(-2**70, 2**70) | _ANY_JSON,
+    "tolerances": st.dictionaries(st.sampled_from(cli._TOL_KEYS) | st.text(max_size=6),
+                                  st.floats() | st.integers() | _ANY_JSON, max_size=3) | _ANY_JSON,
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(known=st.fixed_dictionaries({}, optional=_CONFIG_ENTRIES),
+       unknown=st.dictionaries(st.text(max_size=6), _ANY_JSON, max_size=2) | st.just({}))
+def test_fuzzed_config_documents_load_or_refuse(known, unknown):
+    doc = {**unknown, **known}
+    try:
+        cfg = fucik.RunConfig.from_dict(doc)
+    except fucik.ConfigError:
+        return
+    assert fucik.RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
 # ---------------------------------------------------------------------------
 # SVG emission
 
@@ -212,10 +274,12 @@ def test_solve_mode_artifacts(tmp_path):
 
 
 def test_solve_mode_writes_the_same_solution_bytes(tmp_path, monkeypatch):
-    # the digest pins the folded eigensolve's rounding and the Newton steps
-    # of phase 1; against the Barzilai-Borwein descent they replaced, the
+    # the digest pins the folded eigensolve's rounding, the Newton steps of
+    # phase 1 and the tridiagonal mass product behind h's coefficients;
+    # against the Barzilai-Borwein descent the Newton steps replaced, the
     # parsed file kept its status, its iterations fell from 64 to 4, and
-    # u_star's coefficients and nodal values moved by at most 2.1e-15
+    # u_star's coefficients and nodal values moved by at most 2.1e-15; the
+    # tridiagonal product moved them by at most 2.8e-16
     monkeypatch.chdir(tmp_path)
     h = [math.sin(3 * i / 15.0) for i in range(15)]
     Path("problem.json").write_text(json.dumps({"alpha": 2.0, "beta": 2.6, "k": 1, "f": {"name": "tanh"},
@@ -223,7 +287,7 @@ def test_solve_mode_writes_the_same_solution_bytes(tmp_path, monkeypatch):
     assert _run(["--mode", "solve", "--elements", "16", "--problem", "problem.json", "--out", "solve"]) == 0
     data = Path("solve", "solution.json").read_bytes()
     assert json.loads(data)["status"] == fucik.CONVERGED
-    assert hashlib.sha256(data).hexdigest() == "828cc3f2abf33898e301474340694eb78d55933b594935b99d4346146cc2d9f2"
+    assert hashlib.sha256(data).hexdigest() == "cab91f48592ab7ca131a354a6099427558ba15a3462a4f70f194b5a273bbd1e7"
 
 
 def test_solve_mode_converges_below_the_curve(tmp_path):
@@ -552,6 +616,12 @@ def test_json_document_matches_indented_json_dumps(tmp_path):
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     bits = np.random.default_rng(21).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     bits = bits[np.isfinite(bits)]
+    readonly = bits.copy()
+    readonly.setflags(write=False)
+    local = fucik.operator.basis_document(
+        fucik.eigenpairs(fucik.assemble(fucik.Kernel.local(), fucik.Mesh1D(0.3, 2.9, 48)), k=1))
+    tiny = np.abs(local["vectors"])
+    assert np.count_nonzero((tiny > 0.0) & (tiny < 1e-4)) > 0
     # the float-array path and the json.dumps path side by side
     docs = [
         doc,
@@ -562,12 +632,17 @@ def test_json_document_matches_indented_json_dumps(tmp_path):
         {"h": np.float32(0.1), "i": np.int64(-3), "j": np.bool_(True), "k": (1, (2.5, np.int64(4))),
          "l": np.zeros(0), "m": np.arange(6.0).reshape(2, 3), "n": {"o": [np.bool_(False), np.float32(np.nan)]},
          "p": [np.float64(-0.0), np.float64(5e-324), np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan)]},
-        # random finite bit patterns, and a strided view of them
+        # random finite bit patterns, a strided view, a reversed strided view
         {"q": bits},
         {"r": bits[::3]},
+        {"s": bits[::-3]},
+        {"t": readonly},
+        # repr's exponent form inside a float block: the sampled sines of the
+        # local basis pass near zero between the nodes
+        local,
     ]
     for d in docs:
-        assert "".join(cli._json_document(d)) == json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
+        assert b"".join(cli._json_document(d)).decode() == json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
 
 
 # the notation boundaries of repr: exponent form below 1e-4 and from 1e16
@@ -603,7 +678,7 @@ _MEMBERS = (
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.text(max_size=4), _MEMBERS, max_size=4))
 def test_json_chunks_join_to_indented_json_dumps(doc):
-    text = "".join(cli._json_document(doc))
+    text = b"".join(cli._json_document(doc)).decode()
     assert text == json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
 
 
@@ -617,7 +692,7 @@ def test_failed_formatting_leaves_out_untouched(tmp_path, monkeypatch):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
     def failing(doc):
-        yield "{"
+        yield b"{"
         raise RuntimeError("formatting failed")
 
     monkeypatch.setattr(cli, "_json_document", failing)

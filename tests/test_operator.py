@@ -562,6 +562,22 @@ def test_field_parseval(frac32):
         assert abs(direct - float(c @ c)) <= 1e-8 * float(c @ c)
 
 
+@pytest.mark.parametrize("n_elements", [24, 257])
+def test_mass_products_are_the_dense_products(n_elements):
+    # M is applied from its three diagonals in O(n) per column
+    basis = _fractional_basis(n_elements)
+    rng = np.random.default_rng(n_elements)
+    nodal = rng.standard_normal(basis.dim)
+    products = [
+        (basis.operator.mass_times(nodal), basis.operator.mass @ nodal),
+        (basis.operator.mass_times(basis.vectors), basis.operator.mass @ basis.vectors),
+        (basis.coeffs_from_nodal(nodal), basis.vectors.T @ (basis.operator.mass @ nodal)),
+    ]
+    for product, dense in products:
+        assert product.shape == dense.shape
+        assert np.linalg.norm(product - dense) <= 1e-15 * np.linalg.norm(dense)
+
+
 def test_field_requires_exactly_one_representation(frac32):
     z = np.zeros(frac32.dim)
     with pytest.raises(fucik.ConfigError):
