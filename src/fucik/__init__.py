@@ -14,6 +14,7 @@ from .errors import (
     EmptySeries,
     FactorizationFailure,
     FucikError,
+    IllConditioned,
     MaxIterations,
     MeshTooCoarse,
     MissingLimits,

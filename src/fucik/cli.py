@@ -17,6 +17,7 @@ nothing and no file is ever seen half-written.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -578,7 +579,10 @@ def run(config: RunConfig) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps its results in a fresh
+    # Namespace and never writes to the parser
     p = argparse.ArgumentParser(
         prog="fucik",
         description=(

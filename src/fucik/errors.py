@@ -36,6 +36,11 @@ class FactorizationFailure(FucikError):
     """Mass matrix Cholesky / generalized eigensolve failed (not SPD)."""
 
 
+class IllConditioned(RuntimeWarning):
+    """A linear system's reciprocal condition estimate fell below machine
+    epsilon, so its solution may be inaccurate (a warning, not an error)."""
+
+
 class DimensionMismatch(FucikError):
     """Coefficient or nodal vector length does not match the basis."""
 

@@ -57,9 +57,8 @@ from typing import Callable
 
 import numpy as np
 import orjson
-import scipy.linalg
 
-from .blas import single_threaded
+from .blas import single_threaded, sygvd
 from .errors import (
     ConfigError,
     DegenerateSplit,
@@ -468,7 +467,9 @@ def _assemble_fractional(kernel: Kernel, mesh: Mesh1D) -> np.ndarray:
     # ways round
     diag = 0.5 * (diag + diag[::-1])
     off = 0.5 * (off + off[::-1])
-    A = scipy.linalg.toeplitz(row)
+    # A[i, j] = row[|i - j|]: row i is the window of row[::-1] ++ row[1:] that
+    # starts at N - 1 - i, copied out of one strided view
+    A = np.lib.stride_tricks.sliding_window_view(np.concatenate([row[::-1], row[1:]]), N)[::-1].copy()
     idx = np.arange(N)
     A[idx, idx] += diag
     A[idx[:-1], idx[1:]] += off
@@ -657,8 +658,8 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     The mesh, the kernel and so A and M are invariant under the mirror
     x -> a + b - x, so every eigenfunction is even or odd, and the pencil
     (A, M) splits into the two half-size pencils of _fold (Cantoni and
-    Butler, Linear Algebra Appl. 13, 1976).  Each is solved by a dense
-    eigh on one BLAS thread, which up to 1025 elements is as fast as two
+    Butler, Linear Algebra Appl. 13, 1976).  Each is solved by LAPACK's
+    dsygvd on one BLAS thread, which up to 1025 elements is as fast as two
     (blas.py gives the measurements).  Each half's vectors get their
     deterministic signs (_signed) and are written, mirrored, straight into
     their columns of the one C-ordered V, in ascending order of the
@@ -671,11 +672,18 @@ def eigenpairs(op: GalerkinOperator, k: int) -> EigenBasis:
     DegenerateSplit when lambda_k and lambda_{k+1} coincide to tolerance.
     """
     pencils = list(zip(_fold(op.stiffness), _fold(op.mass)))
-    try:
-        halves = [scipy.linalg.eigh(a, b) for a, b in pencils]
-    except (scipy.linalg.LinAlgError, ValueError) as e:  # ValueError: an overflowed fold
-        raise FactorizationFailure(f"generalized eigensolve failed: {e}") from e
-    halves = [(lam, _signed(Z)) for lam, Z in halves]
+    halves = []
+    for a, b in pencils:
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise FactorizationFailure("generalized eigensolve failed: an overflowed fold")
+        lam, Z, info = sygvd(a, b)
+        if info > len(a):
+            raise FactorizationFailure(
+                f"generalized eigensolve failed: the folded mass's leading minor of order {info - len(a)} "
+                "is not positive definite")
+        if info:
+            raise FactorizationFailure(f"generalized eigensolve failed: dsygvd did not converge (info {info})")
+        halves.append((lam, _signed(Z)))
     scale = max(1.0, max(float(np.max(np.abs(lam))) for lam, _ in halves))
 
     def defect(Z: np.ndarray, product: np.ndarray, diagonal) -> float:

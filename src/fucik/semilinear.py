@@ -34,15 +34,16 @@ of a solution.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .blas import single_threaded
+from .blas import lu_solve, posv, single_threaded
 from .errors import (
     BracketExhausted,
     ConfigError,
+    IllConditioned,
     MaxIterations,
     MissingLimits,
     RegimeViolation,
@@ -54,8 +55,6 @@ from .spectrum import (
     _functional,
     _negate,
     _newton_slope,
-    _potrf,
-    _potrs,
     _reduced,
     _schur,
     beta_of_alpha,
@@ -610,11 +609,26 @@ def _newton_direction(problem: SemilinearProblem, u: np.ndarray, g: np.ndarray):
     if split is None:
         return None
     schur, lift = split
-    factor, info = _potrf(schur, clean=0)
+    d, info = posv(schur, g)
     if info:
         return None
-    d = _potrs(factor, g)[0]
     return (d, lift) if float(g @ d) > 0.0 else None
+
+
+def _full_newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Phase two's step hess^-1 rhs by LU, with an IllConditioned warning
+    when the reciprocal condition estimate is below machine epsilon; where a
+    pivot is exactly zero or the step is not finite, the minimum-norm
+    least-squares step, dropping singular values below epsilon times the
+    largest (the cutoff and the warning are scipy.linalg's)."""
+    step, rcond = lu_solve(hess, rhs)
+    eps = np.finfo(np.float64).eps
+    if step is not None and not rcond >= eps:
+        warnings.warn(f"ill-conditioned Newton system (rcond = {rcond}): the step may be inaccurate",
+                      IllConditioned, stacklevel=2)
+    if step is None or not np.all(np.isfinite(step)):
+        step = np.linalg.lstsq(hess, rhs, rcond=eps)[0]
+    return step
 
 
 def _detect_ray(norms: list, dirs: list):
@@ -759,13 +773,7 @@ def solve(problem: SemilinearProblem, force: bool = False) -> SaddleResult:
     for _ in range(_NEWTON_ITERS):
         if res <= newton_target:
             break
-        hess = _hessian(problem, u_s)
-        try:
-            step = scipy.linalg.solve(hess, -g_full, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)):
-            step = scipy.linalg.lstsq(hess, -g_full)[0]
+        step = _full_newton_step(_hessian(problem, u_s), -g_full)
         theta = 1.0
         accepted = False
         while theta > 1e-12:

@@ -41,8 +41,8 @@ interpolation P and the tridiagonal hat-product matrix T (Hessians V^T T V);
 several identities in the tests (diagonal case, concavity constant) hold to
 machine precision.  The small factorizations (the k x k Newton systems, the
 frozen step's Cholesky of -h11 in _schur, which semilinear's Newton phase
-shares, and the lowest eigenpair of its Schur complement) go through LAPACK
-handles (potrf, potrs, syevr) bound once at import.
+shares, and the lowest eigenpair of its Schur complement) call LAPACK
+(dposv, dsyevr) through blas.py's bindings.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
-from .blas import single_threaded
+from .blas import posv, single_threaded, syevr_lowest
 from .errors import (
     BracketExhausted,
     ConfigError,
@@ -62,9 +61,6 @@ from .errors import (
     MaxIterations,
 )
 from .operator import EigenBasis, Field, to_field
-
-# at these sizes scipy.linalg's checking wrappers cost more than the arithmetic
-_potrf, _potrs, _syevr = get_lapack_funcs(("potrf", "potrs", "syevr"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -298,11 +294,8 @@ def _maximize_t(params: FucikParams, v_samples: np.ndarray, t0: np.ndarray, forc
         # minus the generalized Hessian
         neg_h = basis.gram(_newton_slope(alpha, beta, u, forcing), low)
         neg_h.reshape(-1)[:: k + 1] -= lam1
-        factor, info = _potrf(neg_h, clean=0)
-        slope = 0.0
-        if info == 0:
-            step = _potrs(factor, grad)[0]
-            slope = float(grad @ step)
+        step, info = posv(neg_h, grad)
+        slope = float(grad @ step) if info == 0 else 0.0
         if slope <= 0.0:
             step = grad / (beta + basis.lambda_k + bound)
             slope = float(grad @ step)
@@ -426,24 +419,23 @@ def _schur(h: np.ndarray, k: int):
     _maximize_t).  L dv is the change of the quadratic model's low maximizer
     when the high coefficients change by dv, and the complement is the
     Hessian of the reduced functional there."""
-    factor, info = _potrf(-h[:k, :k], clean=0)
+    lift, info = posv(-h[:k, :k], h[:k, k:])
     if info:
         return None
-    lift = _potrs(factor, h[:k, k:])[0]
     return h[k:, k:] + h[:k, k:].T @ lift, lift
 
 
 def _frozen_minimum(h: np.ndarray, k: int):
     """(schur, mu, vec, lift): _schur's complement of the frozen Hessian h,
     its lowest eigenpair, and the low lift, or None when a LAPACK call
-    fails.  syevr reads the upper triangle of the complement.  L v maximizes
+    fails.  dsyevr reads the upper triangle of the complement.  L v maximizes
     the frozen quadratic over the low coefficients at high coefficients v."""
     split = _schur(h, k)
     if split is None:
         return None
     schur, lift = split
-    mu, vec, _, _, info = _syevr(schur, range="I", il=1, iu=1)
-    return None if info else (schur, mu[0], vec[:, 0], lift)
+    mu, vec, info = syevr_lowest(schur)
+    return None if info else (schur, mu, vec, lift)
 
 
 class _SphereSolver:

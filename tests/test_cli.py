@@ -105,6 +105,20 @@ def test_flags_override_config_file(tmp_path):
     assert cfg2.tolerances == {"beta": 1e-7}
 
 
+def test_successive_mains_share_no_parsed_state(monkeypatch):
+    # the parser is built once per process; every main parses afresh
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda config: runs.append(config) or 0)
+    assert cli.main(["--mode", "curve", "--kernel", "fractional:s=0.5", "--elements", "20", "--k", "2",
+                     "--seed", "3", "--tol-beta", "1e-7", "--out", "first"]) == 0
+    parser = cli._build_parser()
+    assert cli.main(["--mode", "eigen"]) == 0
+    assert cli._build_parser() is parser
+    assert runs[0] == fucik.RunConfig(mode="curve", kernel="fractional:s=0.5", elements=20, k=2, seed=3,
+                                      out="first", tolerances={"beta": 1e-7})
+    assert runs[1] == fucik.RunConfig(mode="eigen")
+
+
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -764,6 +778,30 @@ def test_module_runs_clean_in_dev_mode(tmp_path, argv):
                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_cli_modes_load_no_scipy(tmp_path):
+    # LAPACK comes from numpy's OpenBLAS: a fresh interpreter running every
+    # mode never imports scipy, whose import costs more than a solve
+    src = Path(fucik.__file__).resolve().parent.parent
+    (tmp_path / "problem.json").write_text(json.dumps(
+        {"alpha": 3.0, "beta": "on-curve", "f": {"name": "atan_scaled"}, "h": {"named": "phi_1"}}))
+    script = """if True:
+        import sys
+        from fucik.cli import main
+        for argv in (["--mode", "eigen", "--elements", "24"],
+                     ["--mode", "curve", "--elements", "24", "--alpha-samples", "3"],
+                     ["--mode", "solve", "--elements", "16", "--problem", "problem.json"],
+                     ["--mode", "validate", "--elements", "32", "--tol-validate", "0.25"]):
+            assert main(argv + ["--out", argv[1]]) == 0, argv
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert all((tmp_path / mode).is_dir() for mode in ("eigen", "curve", "solve", "validate"))
 
 
 def test_curve_is_byte_identical_across_blas_thread_counts(tmp_path):

@@ -1,5 +1,5 @@
-"""Tests for the LAPACK handles the low-subspace Newton and the frozen-pattern
-step call directly, against the scipy-wrapper forms they replaced."""
+"""Tests for the LAPACK calls of the low-subspace Newton and the
+frozen-pattern step, against the scipy-wrapper forms they replaced."""
 
 import math
 
@@ -79,15 +79,15 @@ def test_maximize_t_equals_the_cho_factor_reference(frac96, local64):
 
 
 def test_indefinite_newton_system_falls_back_to_a_gradient_step(local64, monkeypatch):
-    potrf = spectrum._potrf
+    posv = spectrum.posv
     infos = []
 
     def spying(*args, **kwargs):
-        out = potrf(*args, **kwargs)
+        out = posv(*args, **kwargs)
         infos.append(out[1])
         return out
 
-    monkeypatch.setattr(spectrum, "_potrf", spying)
+    monkeypatch.setattr(spectrum, "posv", spying)
     p, v_samples, t0, forcing = _steep_case(local64)
     start = spectrum._maximize_t(p, v_samples, t0, forcing=forcing, tol=math.inf)
     assert start[2] == 0 and not infos
@@ -130,7 +130,8 @@ def test_frozen_minimum_matches_the_solve_and_eigh_reference(s, elements, k, mon
 
 
 def test_loops_call_no_scipy_linalg_wrapper(frac96, local64, monkeypatch):
-    # the fixtures build the bases first: the dense eigensolve keeps eigh
+    # no scipy.linalg wrapper runs in the package at all; the loops are
+    # where one would cost most
     def refused(*args, **kwargs):
         raise AssertionError("a scipy.linalg wrapper ran inside the solver loops")
 

@@ -814,7 +814,8 @@ def test_every_imported_distribution_is_declared():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"fucik"} - declared == set()
-    assert {"numpy", "scipy", "orjson"} <= imported
+    # LAPACK comes from numpy's own OpenBLAS; scipy is a test dependency only
+    assert {"numpy", "orjson"} <= imported and "scipy" not in imported | declared
 
 
 def test_only_operator_reads_the_sample_table():

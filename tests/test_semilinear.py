@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -789,3 +790,45 @@ def test_on_curve_document_classifies_once(basis, monkeypatch):
     assert regime == prob.regime == fucik.RESONANCE
     assert point.beta == prob.curve_beta == prob.params.beta
 
+
+
+# ---------------------------------------------------------------------------
+# phase two's linear solve, against scipy.linalg
+
+
+def test_near_singular_newton_system_warns_as_scipy_does(basis):
+    # the generalized Hessian at alpha = beta = lambda_1 and a one-signed u
+    # is singular up to rounding along phi_1; turned by an orthogonal Q its
+    # 1- and infinity norms differ, and scipy's estimate takes the latter
+    lam = basis.eigenvalues
+    hess = np.diag(lam) - basis.gram(np.full(len(basis.sample_weights), lam[0]))
+    rhs = np.random.default_rng(3).standard_normal(basis.dim)
+    turn = np.linalg.qr(np.random.default_rng(4).standard_normal((basis.dim, basis.dim)))[0]
+    for system in (hess, hess @ turn):
+        with pytest.warns(scipy.linalg.LinAlgWarning) as theirs:
+            ref = scipy.linalg.solve(system, rhs, check_finite=False)
+        with pytest.warns(fucik.IllConditioned) as ours:
+            step = semilinear._full_newton_step(system, rhs)
+        rcond = float(str(ours[0].message).split("rcond = ")[1].split(")")[0])
+        assert 0.0 < rcond < np.finfo(float).eps
+        # the turned system's LU moves in the last bits between numpy's and
+        # scipy's OpenBLAS builds, and at this conditioning so does its step
+        scipy_rcond = float(str(theirs[0].message).split("rcond = ")[1][:-1])
+        assert rcond == pytest.approx(scipy_rcond, rel=1e-12, abs=0.0)
+        if system is hess:
+            assert np.array_equal(step, ref)
+
+
+def test_singular_newton_system_takes_scipy_lstsq_step():
+    # an exactly zero column stops the LU; the singular value 1e-15 lies
+    # above lstsq's cutoff eps * 1 but below numpy's default 64 * eps
+    diag = np.r_[0.0, 1e-15, np.linspace(1.0, 2.0, 62)]
+    hess = np.diag(diag)
+    hess[2:, 2:] += 0.1 * np.random.default_rng(4).standard_normal((62, 62))
+    rhs = np.random.default_rng(5).standard_normal(64)
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.solve(hess, rhs, check_finite=False)
+    step = semilinear._full_newton_step(hess, rhs)
+    ref = scipy.linalg.lstsq(hess, rhs)[0]
+    assert np.array_equal(step, ref)
+    assert step[0] == 0.0 and step[1] == pytest.approx(rhs[1] / 1e-15, rel=1e-9)
